@@ -1,5 +1,5 @@
 //! Generic Join (Algorithm 2 of the paper), written generically against
-//! [`TrieAccess`] so the hot loop monomorphizes per cursor backend.
+//! [`TrieAccess`] so the hot loop monomorphizes per cursor type.
 //!
 //! Variables are bound in the fixed global order. The **first** variable's extension
 //! set is computed up front by one multi-way sorted intersection of the root sibling
@@ -206,9 +206,9 @@ fn descend<C: TrieAccess>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wcoj_storage::{CursorKind, PrefixIndex, Relation, Trie};
+    use wcoj_storage::{CursorKind, DeltaAccess, DeltaRelation, Relation, Trie};
 
-    /// Triangle query over tries and prefix indexes must agree.
+    /// Triangle query over tries and delta-log union cursors must agree.
     #[test]
     fn triangle_over_both_backends() {
         let r = Relation::from_pairs("A", "B", vec![(1, 2), (2, 3), (1, 3)]);
@@ -232,13 +232,18 @@ mod tests {
             &w,
         );
 
-        let indexes = [
-            PrefixIndex::build(&r, &["A", "B"]).unwrap(),
-            PrefixIndex::build(&s, &["B", "C"]).unwrap(),
-            PrefixIndex::build(&t, &["A", "C"]).unwrap(),
+        let deltas = [
+            DeltaRelation::from_relation(r),
+            DeltaRelation::from_relation(s),
+            DeltaRelation::from_relation(t),
         ];
-        let mut cursors: Vec<_> = indexes.iter().map(|ix| ix.cursor()).collect();
-        let from_indexes = generic_join(
+        let accesses = [
+            DeltaAccess::build(&deltas[0], &["A", "B"], 1).unwrap(),
+            DeltaAccess::build(&deltas[1], &["B", "C"], 1).unwrap(),
+            DeltaAccess::build(&deltas[2], &["A", "C"], 1).unwrap(),
+        ];
+        let mut cursors: Vec<_> = accesses.iter().map(|a| a.cursor()).collect();
+        let from_deltas = generic_join(
             &mut cursors,
             &participants,
             KernelPolicy::Adaptive,
@@ -249,23 +254,24 @@ mod tests {
         // row-major flat output: (1,2,3), (1,3,4), (2,3,1)
         let expected = vec![1, 2, 3, 1, 3, 4, 2, 3, 1];
         assert_eq!(from_tries, expected);
-        assert_eq!(from_indexes, expected);
+        assert_eq!(from_deltas, expected);
         assert_eq!(w.output_tuples(), 6); // both runs tallied
     }
 
-    /// Mixed trie/index backends compose through [`CursorKind`] without `dyn`.
+    /// Mixed trie/delta cursors compose through [`CursorKind`] without `dyn`.
     #[test]
     fn triangle_over_mixed_backends() {
         let r = Relation::from_pairs("A", "B", vec![(1, 2), (2, 3), (1, 3)]);
         let s = Relation::from_pairs("B", "C", vec![(2, 3), (3, 1), (3, 4)]);
         let t = Relation::from_pairs("A", "C", vec![(1, 3), (2, 1), (1, 4)]);
         let trie_r = Trie::build(&r, &["A", "B"]).unwrap();
-        let index_s = PrefixIndex::build(&s, &["B", "C"]).unwrap();
+        let delta_s = DeltaRelation::from_relation(s);
+        let access_s = DeltaAccess::build(&delta_s, &["B", "C"], 1).unwrap();
         let trie_t = Trie::build(&t, &["A", "C"]).unwrap();
         let w = WorkCounter::new();
         let mut cursors: Vec<CursorKind> = vec![
             trie_r.cursor().into(),
-            index_s.cursor().into(),
+            access_s.cursor().into(),
             trie_t.cursor().into(),
         ];
         let participants = vec![vec![0, 2], vec![0, 1], vec![1, 2]];
@@ -277,7 +283,10 @@ mod tests {
             &w,
         );
         assert_eq!(out, vec![1, 2, 3, 1, 3, 4, 2, 3, 1]);
-        assert!(w.probes() > 0);
+        assert!(
+            w.delta_merge() > 0,
+            "the delta atom runs on the union cursor"
+        );
     }
 
     #[test]

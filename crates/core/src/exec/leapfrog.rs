@@ -224,7 +224,7 @@ fn descend<C: TrieAccess>(
 mod tests {
     use super::*;
     use crate::exec::generic::generic_join;
-    use wcoj_storage::{PrefixIndex, Relation, Trie};
+    use wcoj_storage::{Relation, Trie};
 
     #[test]
     fn triangle_matches_generic_join() {
@@ -258,30 +258,6 @@ mod tests {
         assert_eq!(lf, gj);
         // row-major flat output: (1,2,3), (1,3,4), (2,3,1), (4,5,6)
         assert_eq!(lf, vec![1, 2, 3, 1, 3, 4, 2, 3, 1, 4, 5, 6]);
-    }
-
-    #[test]
-    fn leapfrog_runs_on_prefix_indexes_too() {
-        // the engine is backend-agnostic through the trait
-        let r = Relation::from_pairs("A", "B", vec![(1, 2), (2, 3), (1, 3)]);
-        let s = Relation::from_pairs("B", "C", vec![(2, 3), (3, 1)]);
-        let t = Relation::from_pairs("A", "C", vec![(1, 3), (2, 1)]);
-        let indexes = [
-            PrefixIndex::build(&r, &["A", "B"]).unwrap(),
-            PrefixIndex::build(&s, &["B", "C"]).unwrap(),
-            PrefixIndex::build(&t, &["A", "C"]).unwrap(),
-        ];
-        let w = WorkCounter::new();
-        let mut cursors: Vec<_> = indexes.iter().map(|ix| ix.cursor()).collect();
-        let out = leapfrog_triejoin(
-            &mut cursors,
-            &[vec![0, 2], vec![0, 1], vec![1, 2]],
-            KernelPolicy::Adaptive,
-            &KernelCalibration::fixed(),
-            &w,
-        );
-        assert_eq!(out, vec![1, 2, 3, 2, 3, 1]);
-        assert!(w.probes() > 0);
     }
 
     #[test]

@@ -8,11 +8,12 @@
 //! * [`Engine::GenericJoin`] — Algorithm 2 of the paper ([`generic`]);
 //! * [`Engine::Leapfrog`] — Leapfrog Triejoin ([`leapfrog`]).
 //!
-//! The WCOJ engines are written **generically** over `C: TrieAccess`, so each hot
-//! loop monomorphizes per storage backend — CSR [`Trie`] cursors or [`PrefixIndex`]
-//! hash cursors, selected by [`Backend`] ([`Backend::Auto`] picks each algorithm's
-//! native access path). Mixed backends within one query compose through
-//! [`wcoj_storage::CursorKind`] with branch (not vtable) dispatch.
+//! Both WCOJ engines run on one static access path, the CSR [`Trie`]: Leapfrog
+//! seeks in its sibling groups and Generic Join intersects them. The engines are
+//! written **generically** over `C: TrieAccess`, so each hot loop monomorphizes
+//! per cursor type — trie cursors for all-static queries, and
+//! [`wcoj_storage::CursorKind`] (branch, not vtable, dispatch) as soon as a
+//! delta-backed atom mixes a [`DeltaAccess`] union cursor in.
 //!
 //! Every extension set — level 0 and every deeper variable — is computed through
 //! the **adaptive intersection kernel layer** ([`wcoj_storage::kernels`], via
@@ -24,10 +25,10 @@
 //! straight from the kernel output.
 //!
 //! Access-structure **builds** flow through the per-database
-//! [`wcoj_storage::AccessCache`]: `BuiltAccess::build` keys each trie, prefix
-//! index, and permuted delta view by `(relation, column positions, kind, stamp)`
-//! and reuses valid entries across executions — transparently for all three
-//! engines, both backends, and the morsel scheduler, since builds record no
+//! [`wcoj_storage::AccessCache`]: `BuiltAccess::build` keys each trie and
+//! permuted delta view by `(relation, column positions, kind, stamp)` and reuses
+//! valid entries across executions — transparently for both WCOJ engines (which
+//! share the same entries) and the morsel scheduler, since builds record no
 //! [`WorkCounter`] work. Delta-backed entries revalidate by **run identity**:
 //! an unchanged sealed-run list is a hit, newly sealed runs appended are an
 //! *incremental merge* (only the new runs get permuted), anything else (tier
@@ -36,15 +37,15 @@
 //! reports hits/misses/incremental merges — results and work counters are
 //! bit-identical with the cache on, off, or cold.
 //!
-//! [`ExecOptions`] carries the full execution configuration — engine, backend,
-//! worker **thread count**, kernel policy, and cache mode — through the public
+//! [`ExecOptions`] carries the full execution configuration — engine, worker
+//! **thread count**, kernel policy, and cache mode — through the public
 //! API and the planner, so callers (benchmarks, experiment binaries, tests)
 //! select serial vs morsel-parallel execution uniformly. With `threads > 1` the WCOJ engines run
 //! under the morsel-driven scheduler of [`parallel`], which partitions the first
 //! join variable's extension set across `std::thread::scope` workers holding
 //! private cursors and private [`WorkCounter`]s — and the access-structure
 //! *builds* are partitioned across the same number of scoped workers
-//! ([`Trie::build_parallel`] / [`PrefixIndex::build_parallel`]); results,
+//! ([`Trie::build_parallel`]); results,
 //! counters, and built structures are deterministic, bit-identical to serial
 //! execution.
 //!
@@ -80,7 +81,7 @@ use wcoj_query::{AtomSource, ConjunctiveQuery, Database, VarId};
 use wcoj_storage::typed::TypedRows;
 use wcoj_storage::{
     kernels, AttrType, CacheKey, CacheKind, CachedValue, CursorKind, DeltaAccess, DeltaRelation,
-    DeltaView, KernelPolicy, PrefixIndex, Relation, Schema, Trie, TrieAccess, Value, WorkCounter,
+    DeltaView, KernelPolicy, Relation, Schema, Trie, TrieAccess, Value, WorkCounter,
 };
 pub use wcoj_storage::{CacheStats, KernelCalibration};
 
@@ -93,18 +94,6 @@ pub enum Engine {
     GenericJoin,
     /// Leapfrog Triejoin (mutual leapfrogging).
     Leapfrog,
-}
-
-/// Which storage access path to build for the WCOJ engines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// Each engine's native access path: prefix indexes for Generic Join, CSR tries
-    /// for Leapfrog Triejoin.
-    Auto,
-    /// CSR tries for every atom.
-    Trie,
-    /// Prefix hash indexes for every atom.
-    Hash,
 }
 
 /// How one execution uses the per-database access-structure cache
@@ -136,9 +125,6 @@ pub enum CacheMode {
 pub struct ExecOptions {
     /// The join engine.
     pub engine: Engine,
-    /// The storage access path for the WCOJ engines (ignored by the binary
-    /// baseline).
-    pub backend: Backend,
     /// Worker threads for the WCOJ engines: `1` runs serially, `n > 1` runs the
     /// morsel-driven scheduler with `n` workers, and `0` asks the OS for the
     /// available parallelism. With `n > 1` the access-structure *builds* are also
@@ -161,7 +147,7 @@ pub struct ExecOptions {
     /// Access-structure cache behavior (see [`CacheMode`]): reuse builds from
     /// the database's shared cache ([`CacheMode::On`], the default), pin them
     /// against eviction, or bypass the cache. Ignored by the binary baseline,
-    /// which builds no tries or indexes.
+    /// which builds no tries.
     pub cache: CacheMode,
     /// Optional trace sink: `Some` makes the execution deposit a
     /// [`QueryTrace`] — plan choice, per-level extension-set statistics,
@@ -178,7 +164,6 @@ impl PartialEq for ExecOptions {
     fn eq(&self, other: &Self) -> bool {
         // `trace` is deliberately excluded: it observes, never configures.
         self.engine == other.engine
-            && self.backend == other.backend
             && self.threads == other.threads
             && self.kernel == other.kernel
             && self.calibration == other.calibration
@@ -192,7 +177,6 @@ impl Default for ExecOptions {
     fn default() -> Self {
         ExecOptions {
             engine: Engine::GenericJoin,
-            backend: Backend::Auto,
             threads: 1,
             kernel: KernelPolicy::Adaptive,
             calibration: None,
@@ -203,19 +187,11 @@ impl Default for ExecOptions {
 }
 
 impl ExecOptions {
-    /// Options for `engine` with the native backend, single-threaded.
+    /// Options for `engine`, single-threaded.
     pub fn new(engine: Engine) -> Self {
         ExecOptions {
             engine,
             ..Default::default()
-        }
-    }
-
-    /// Builder-style backend override.
-    pub fn with_backend(&self, backend: Backend) -> Self {
-        ExecOptions {
-            backend,
-            ..self.clone()
         }
     }
 
@@ -277,15 +253,6 @@ impl ExecOptions {
         self.calibration
             .unwrap_or_else(|| *KernelCalibration::host())
     }
-
-    /// The concrete backend for `self.engine` after resolving [`Backend::Auto`].
-    pub fn resolved_backend(&self) -> Backend {
-        match (self.backend, self.engine) {
-            (Backend::Auto, Engine::Leapfrog) => Backend::Trie,
-            (Backend::Auto, _) => Backend::Hash,
-            (b, _) => b,
-        }
-    }
 }
 
 /// The result of executing a query: the output relation (columns in the query's
@@ -329,7 +296,7 @@ impl ExecOutput {
     }
 }
 
-/// Execute `query` over `db` with the given engine (native backend, serial),
+/// Execute `query` over `db` with the given engine (serial),
 /// letting the AGM-guided planner pick the variable order for the WCOJ engines.
 pub fn execute(
     query: &ConjunctiveQuery,
@@ -470,20 +437,12 @@ fn work_pairs(w: &WorkCounter) -> Vec<(String, u64)> {
     .collect()
 }
 
-/// The trace spelling of engine and backend choices.
+/// The trace spelling of the engine choice.
 fn engine_name(engine: Engine) -> &'static str {
     match engine {
         Engine::BinaryHash => "binary_hash",
         Engine::GenericJoin => "generic_join",
         Engine::Leapfrog => "leapfrog",
-    }
-}
-
-fn backend_name(backend: Backend) -> &'static str {
-    match backend {
-        Backend::Auto => "auto",
-        Backend::Trie => "trie",
-        Backend::Hash => "hash",
     }
 }
 
@@ -586,7 +545,6 @@ fn execute_inner(
         };
         sink.record(QueryTrace {
             engine: engine_name(opts.engine).to_string(),
-            backend: backend_name(opts.resolved_backend()).to_string(),
             threads: opts.resolved_threads(),
             order: order_names,
             agm_log2,
@@ -620,7 +578,6 @@ fn execute_inner(
 /// with the access cache, so a hit costs a refcount, not a rebuild.
 enum AtomAccess<'d> {
     Trie(Arc<Trie>),
-    Index(Arc<PrefixIndex>),
     Delta(DeltaAccess<'d>),
 }
 
@@ -628,20 +585,18 @@ impl AtomAccess<'_> {
     fn cursor(&self) -> CursorKind<'_> {
         match self {
             AtomAccess::Trie(t) => t.cursor().into(),
-            AtomAccess::Index(ix) => ix.cursor().into(),
             AtomAccess::Delta(d) => d.cursor().into(),
         }
     }
 }
 
-/// The access structures built for one execution: one trie or one prefix index
-/// per atom (the monomorphized all-static fast paths), or — as soon as any atom
-/// is delta-backed — one [`AtomAccess`] per atom, composing live
-/// [`DeltaAccess`] union cursors with static structures through [`CursorKind`].
-/// Shared immutably by all workers.
+/// The access structures built for one execution: one trie per atom (the
+/// monomorphized all-static fast path), or — as soon as any atom is
+/// delta-backed — one [`AtomAccess`] per atom, composing live [`DeltaAccess`]
+/// union cursors with static tries through [`CursorKind`]. Shared immutably by
+/// all workers.
 enum BuiltAccess<'d> {
     Tries(Vec<Arc<Trie>>),
-    Indexes(Vec<Arc<PrefixIndex>>),
     Mixed(Vec<AtomAccess<'d>>),
 }
 
@@ -695,76 +650,6 @@ fn cached_trie(
     Ok(built)
 }
 
-/// Fetch-or-build one static relation's prefix hash index through the access
-/// cache (same keying and staleness story as [`cached_trie`]).
-fn cached_index(
-    ctx: &CacheCtx<'_>,
-    name: &str,
-    rel: &Relation,
-    positions: &[usize],
-    threads: usize,
-    stats: &mut CacheStats,
-) -> Result<Arc<PrefixIndex>, ExecError> {
-    if !ctx.use_cache {
-        return Ok(Arc::new(PrefixIndex::build_positions_parallel(
-            rel, positions, threads,
-        )?));
-    }
-    let cache = ctx.db.access_cache();
-    let key = CacheKey {
-        relation: name.to_string(),
-        positions: positions.to_vec(),
-        kind: CacheKind::Index,
-        stamp: ctx.db.relation_stamp(name),
-    };
-    if let Some(CachedValue::Index(ix)) = cache.get(&key) {
-        stats.hits += 1;
-        return Ok(ix);
-    }
-    let built = Arc::new(PrefixIndex::build_positions_parallel(
-        rel, positions, threads,
-    )?);
-    stats.misses += 1;
-    stats.evictions += cache.insert(
-        key,
-        CachedValue::Index(Arc::clone(&built)),
-        rel.len() as u64,
-        built.heap_bytes(),
-        ctx.pinned,
-    );
-    Ok(built)
-}
-
-/// The epoch-partitioned delta-cache gate: 0 = uninitialized (consult
-/// `WCOJ_CACHE_PARTITIONS`), 1 = on (the default), 2 = off (the pre-partition
-/// single-slot behavior, kept for A/B measurement — see EXPERIMENTS E10).
-static CACHE_PARTITIONS: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
-
-/// Whether delta-view cache entries are **epoch-partitioned** (see
-/// [`set_cache_partitions`]). Defaults to on; `WCOJ_CACHE_PARTITIONS=0`
-/// disables.
-pub fn cache_partitions_enabled() -> bool {
-    use std::sync::atomic::Ordering;
-    match CACHE_PARTITIONS.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            let on = std::env::var("WCOJ_CACHE_PARTITIONS").map_or(true, |v| v.trim() != "0");
-            CACHE_PARTITIONS.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-            on
-        }
-    }
-}
-
-/// Switch delta-view cache partitioning on or off in-process (overrides
-/// `WCOJ_CACHE_PARTITIONS`; benchmarks use this for same-process A/B runs).
-/// With partitioning **off**, a pinned snapshot and the live head share one
-/// cache slot per `(relation, order)` and evict each other's views on every
-/// alternating access — the E9.4 thrash this knob exists to demonstrate.
-pub fn set_cache_partitions(on: bool) {
-    CACHE_PARTITIONS.store(if on { 1 } else { 2 }, std::sync::atomic::Ordering::Relaxed);
-}
-
 /// FNV-1a over the sealed-run identity list — the content fingerprint that
 /// keys a delta view to the exact run set it was built over. `| 1` keeps it
 /// disjoint from the head slot's reserved stamp 0.
@@ -793,13 +678,11 @@ fn run_fingerprint(delta: &DeltaRelation) -> u64 {
 /// the live database and only ever moved forward (extended, or rebuilt by a
 /// non-snapshot reader), and **exact slots** (stamp = run-set fingerprint)
 /// that pin a view to the precise run list it matches. A pinned
-/// [`wcoj_query::Snapshot`]'s
-/// reads fill only its exact slot, so a long-held snapshot and the advancing
-/// head stop evicting each other — while a *fresh* snapshot still hits the
-/// head slot via run-identity revalidation (same run list at pin time), which
-/// is what keeps the service's snapshot-per-query read path cached.
-/// `WCOJ_CACHE_PARTITIONS=0` (or [`set_cache_partitions`]) restores the old
-/// single-slot behavior for comparison.
+/// [`wcoj_query::Snapshot`]'s reads fill only its exact slot, so a long-held
+/// snapshot and the advancing head stop evicting each other — while a *fresh*
+/// snapshot still hits the head slot via run-identity revalidation (same run
+/// list at pin time), which is what keeps the service's snapshot-per-query
+/// read path cached.
 fn cached_delta<'d>(
     ctx: &CacheCtx<'_>,
     name: &str,
@@ -813,7 +696,6 @@ fn cached_delta<'d>(
         return Ok(DeltaAccess::build_positions(delta, positions, threads)?);
     }
     let cache = ctx.db.access_cache();
-    let partitioned = cache_partitions_enabled();
     let head_key = CacheKey {
         relation: name.to_string(),
         positions: positions.to_vec(),
@@ -824,60 +706,40 @@ fn cached_delta<'d>(
         stamp: run_fingerprint(delta),
         ..head_key.clone()
     };
-    if partitioned {
-        if let Some(CachedValue::Delta(view)) = cache.get(&exact_key) {
-            if view.matches(delta) {
-                stats.hits += 1;
-                return Ok(DeltaAccess::from_view(&view, delta));
-            }
+    if let Some(CachedValue::Delta(view)) = cache.get(&exact_key) {
+        if view.matches(delta) {
+            stats.hits += 1;
+            return Ok(DeltaAccess::from_view(&view, delta));
         }
     }
+    let mut extended = None;
     if let Some(CachedValue::Delta(view)) = cache.get(&head_key) {
         if view.matches(delta) {
             stats.hits += 1;
             return Ok(DeltaAccess::from_view(&view, delta));
         }
-        if let Some(extended) = view.extend(delta, threads) {
-            let extended = Arc::new(extended);
+        extended = view.extend(delta, threads);
+    }
+    let view = Arc::new(match extended {
+        Some(view) => {
             stats.incremental_merges += 1;
-            // a snapshot's extension must not move the head slot (its frozen
-            // run set may be behind a head another reader already advanced)
-            let claim_head = !partitioned || !ctx.db.is_snapshot();
-            if claim_head {
-                stats.evictions += cache.insert(
-                    head_key,
-                    CachedValue::Delta(Arc::clone(&extended)),
-                    extended.num_rows() as u64,
-                    extended.heap_bytes(),
-                    ctx.pinned,
-                );
-            }
-            if partitioned {
-                stats.evictions += cache.insert(
-                    exact_key.clone(),
-                    CachedValue::Delta(Arc::clone(&extended)),
-                    extended.num_rows() as u64,
-                    extended.heap_bytes(),
-                    ctx.pinned,
-                );
-            }
-            return Ok(DeltaAccess::from_view(&extended, delta));
+            view
         }
-    }
-    let view = Arc::new(DeltaView::build(delta, positions, threads)?);
-    stats.misses += 1;
-    if !partitioned || !ctx.db.is_snapshot() {
+        None => {
+            stats.misses += 1;
+            DeltaView::build(delta, positions, threads)?
+        }
+    });
+    // a snapshot must not move the head slot (its frozen run set may be
+    // behind a head another reader already advanced)
+    let slots = if ctx.db.is_snapshot() {
+        vec![exact_key]
+    } else {
+        vec![head_key, exact_key]
+    };
+    for key in slots {
         stats.evictions += cache.insert(
-            head_key,
-            CachedValue::Delta(Arc::clone(&view)),
-            view.num_rows() as u64,
-            view.heap_bytes(),
-            ctx.pinned,
-        );
-    }
-    if partitioned {
-        stats.evictions += cache.insert(
-            exact_key.clone(),
+            key,
             CachedValue::Delta(Arc::clone(&view)),
             view.num_rows() as u64,
             view.heap_bytes(),
@@ -927,7 +789,6 @@ impl<'d> BuiltAccess<'d> {
     /// per atom; with `threads > 1` each fresh build's argsort-and-scan pass
     /// is partitioned across scoped workers
     /// ([`Trie::build_positions_parallel`] /
-    /// [`PrefixIndex::build_positions_parallel`] /
     /// [`wcoj_storage::Relation::sort_perm_threads`] for delta runs),
     /// producing bit-identical structures to the serial builds — so cached,
     /// fresh-serial, and fresh-parallel structures are interchangeable.
@@ -948,7 +809,6 @@ impl<'d> BuiltAccess<'d> {
         stats: &mut CacheStats,
         mut trace: Option<&mut Vec<AtomTrace>>,
     ) -> Result<Self, ExecError> {
-        let backend = opts.resolved_backend();
         let threads = opts.resolved_threads();
         let ctx = CacheCtx {
             db,
@@ -970,98 +830,36 @@ impl<'d> BuiltAccess<'d> {
                 .collect();
             positions_per_atom.push(positions);
         }
-        let any_delta = sources.iter().any(|s| matches!(s, AtomSource::Delta(_)));
-        let built = if any_delta {
-            let mut accesses = Vec::with_capacity(sources.len());
-            for (i, source) in sources.iter().enumerate() {
-                let name = &atoms[i].name;
-                let positions = &positions_per_atom[i];
-                let started = trace.is_some().then(Instant::now);
-                let before = *stats;
-                let (access, kind) = match source {
-                    AtomSource::Static(rel) => match backend {
-                        Backend::Trie => (
-                            AtomAccess::Trie(cached_trie(
-                                &ctx, name, rel, positions, threads, stats,
-                            )?),
-                            "trie",
-                        ),
-                        Backend::Hash | Backend::Auto => (
-                            AtomAccess::Index(cached_index(
-                                &ctx, name, rel, positions, threads, stats,
-                            )?),
-                            "index",
-                        ),
-                    },
-                    AtomSource::Delta(delta) => (
-                        AtomAccess::Delta(cached_delta(
-                            &ctx, name, delta, positions, threads, stats,
-                        )?),
-                        "delta",
-                    ),
-                };
-                push_atom_trace(&mut trace, started, name, kind, &before, stats);
-                accesses.push(access);
-            }
-            BuiltAccess::Mixed(accesses)
-        } else {
-            let statics: Vec<&Relation> = sources
-                .iter()
-                .map(|s| match s {
-                    AtomSource::Static(rel) => *rel,
-                    AtomSource::Delta(_) => unreachable!("any_delta checked above"),
-                })
-                .collect();
-            match backend {
-                Backend::Trie => {
-                    let mut tries = Vec::with_capacity(statics.len());
-                    for (i, rel) in statics.iter().enumerate() {
-                        let started = trace.is_some().then(Instant::now);
-                        let before = *stats;
-                        tries.push(cached_trie(
-                            &ctx,
-                            &atoms[i].name,
-                            rel,
-                            &positions_per_atom[i],
-                            threads,
-                            stats,
-                        )?);
-                        push_atom_trace(
-                            &mut trace,
-                            started,
-                            &atoms[i].name,
-                            "trie",
-                            &before,
-                            stats,
-                        );
-                    }
-                    BuiltAccess::Tries(tries)
-                }
-                Backend::Hash | Backend::Auto => {
-                    let mut indexes = Vec::with_capacity(statics.len());
-                    for (i, rel) in statics.iter().enumerate() {
-                        let started = trace.is_some().then(Instant::now);
-                        let before = *stats;
-                        indexes.push(cached_index(
-                            &ctx,
-                            &atoms[i].name,
-                            rel,
-                            &positions_per_atom[i],
-                            threads,
-                            stats,
-                        )?);
-                        push_atom_trace(
-                            &mut trace,
-                            started,
-                            &atoms[i].name,
-                            "index",
-                            &before,
-                            stats,
-                        );
-                    }
-                    BuiltAccess::Indexes(indexes)
-                }
-            }
+        let mut accesses = Vec::with_capacity(sources.len());
+        for (i, source) in sources.iter().enumerate() {
+            let name = &atoms[i].name;
+            let positions = &positions_per_atom[i];
+            let started = trace.is_some().then(Instant::now);
+            let before = *stats;
+            let (access, kind) = match source {
+                AtomSource::Static(rel) => (
+                    AtomAccess::Trie(cached_trie(&ctx, name, rel, positions, threads, stats)?),
+                    "trie",
+                ),
+                AtomSource::Delta(delta) => (
+                    AtomAccess::Delta(cached_delta(&ctx, name, delta, positions, threads, stats)?),
+                    "delta",
+                ),
+            };
+            push_atom_trace(&mut trace, started, name, kind, &before, stats);
+            accesses.push(access);
+        }
+        // all-static queries take the monomorphized trie-cursor path
+        let tries: Option<Vec<Arc<Trie>>> = accesses
+            .iter()
+            .map(|a| match a {
+                AtomAccess::Trie(t) => Some(Arc::clone(t)),
+                AtomAccess::Delta(_) => None,
+            })
+            .collect();
+        let built = match tries {
+            Some(tries) => BuiltAccess::Tries(tries),
+            None => BuiltAccess::Mixed(accesses),
         };
         if ctx.use_cache {
             stats.bytes = db.access_cache().bytes() as u64;
@@ -1070,7 +868,7 @@ impl<'d> BuiltAccess<'d> {
     }
 
     /// Run the engine over fresh cursor sets — serial for `threads == 1`, morsel
-    /// workers otherwise. Monomorphizes per backend. Fails only with
+    /// workers otherwise. Monomorphizes per cursor type. Fails only with
     /// [`ExecError::Canceled`], and only when `token` fires mid-run.
     #[allow(clippy::too_many_arguments)] // the engine-dispatch seam carries the full config
     fn run(
@@ -1088,17 +886,6 @@ impl<'d> BuiltAccess<'d> {
             BuiltAccess::Tries(tries) => run_cursors(
                 engine,
                 || tries.iter().map(|t| t.cursor()).collect(),
-                participants,
-                threads,
-                policy,
-                cal,
-                counter,
-                token,
-                trace,
-            ),
-            BuiltAccess::Indexes(indexes) => run_cursors(
-                engine,
-                || indexes.iter().map(|ix| ix.cursor()).collect(),
                 participants,
                 threads,
                 policy,
@@ -1468,24 +1255,9 @@ mod tests {
     }
 
     #[test]
-    fn explicit_backends_agree_with_auto() {
-        let q = examples::triangle();
-        let db = triangle_db();
-        for engine in [Engine::GenericJoin, Engine::Leapfrog] {
-            let auto = execute_opts(&q, &db, &ExecOptions::new(engine)).unwrap();
-            for backend in [Backend::Trie, Backend::Hash] {
-                let opts = ExecOptions::new(engine).with_backend(backend);
-                let out = execute_opts(&q, &db, &opts).unwrap();
-                assert_eq!(out.result, auto.result, "{engine:?} over {backend:?}");
-            }
-        }
-    }
-
-    #[test]
     fn options_resolve_sensibly() {
         let opts = ExecOptions::default();
         assert_eq!(opts.engine, Engine::GenericJoin);
-        assert_eq!(opts.resolved_backend(), Backend::Hash);
         assert_eq!(opts.resolved_threads(), 1);
         assert_eq!(opts.cache, CacheMode::On);
         assert_eq!(
@@ -1493,19 +1265,12 @@ mod tests {
             CacheMode::Pinned
         );
         let lf = ExecOptions::new(Engine::Leapfrog).with_threads(4);
-        assert_eq!(lf.resolved_backend(), Backend::Trie);
         assert_eq!(lf.resolved_threads(), 4);
         assert!(
             ExecOptions::new(Engine::GenericJoin)
                 .with_threads(0)
                 .resolved_threads()
                 >= 1
-        );
-        assert_eq!(
-            ExecOptions::new(Engine::GenericJoin)
-                .with_backend(Backend::Trie)
-                .resolved_backend(),
-            Backend::Trie
         );
     }
 
@@ -1645,17 +1410,13 @@ mod tests {
         db.insert_delta("R", vec![1, 2]).unwrap(); // re-add it
         assert!(db.delta("R").is_some());
         for engine in [Engine::BinaryHash, Engine::GenericJoin, Engine::Leapfrog] {
-            for backend in [Backend::Auto, Backend::Trie, Backend::Hash] {
-                for threads in [1, 4] {
-                    let opts = ExecOptions::new(engine)
-                        .with_backend(backend)
-                        .with_threads(threads);
-                    let out = execute_opts(&q, &db, &opts).unwrap();
-                    assert_eq!(
-                        out.result, expected.result,
-                        "{engine:?}/{backend:?}/t{threads} over the delta path"
-                    );
-                }
+            for threads in [1, 4] {
+                let opts = ExecOptions::new(engine).with_threads(threads);
+                let out = execute_opts(&q, &db, &opts).unwrap();
+                assert_eq!(
+                    out.result, expected.result,
+                    "{engine:?}/t{threads} over the delta path"
+                );
             }
         }
         // delta work appears in the counters once data actually lives in runs
@@ -1693,7 +1454,7 @@ mod tests {
         assert_eq!(off.cache_stats, CacheStats::default());
         assert_eq!(off.result, cold.result);
         assert_eq!(off.work, cold.work);
-        // the binary baseline builds no tries or indexes
+        // the binary baseline builds no tries
         let bh = execute(&q, &db, Engine::BinaryHash).unwrap();
         assert_eq!(bh.cache_stats, CacheStats::default());
     }

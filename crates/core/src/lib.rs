@@ -18,14 +18,14 @@
 //!   fractional edge cover of the `wcoj-bounds` LP — [`planner`];
 //! * one entry point, [`exec::execute_opts`] (with [`exec::execute`] as the
 //!   serial-default convenience), configured by [`exec::ExecOptions`]
-//!   `{ engine, backend, threads }` and returning the output relation plus the
+//!   `{ engine, threads, kernel, cache }` and returning the output relation plus the
 //!   [`wcoj_storage::WorkCounter`] tallies that let tests compare measured work
 //!   against the `N^{ρ*}` bound directly.
 //!
 //! Both WCOJ engines are written once, **generically**, against the
-//! [`wcoj_storage::TrieAccess`] trait, so they run monomorphized over CSR tries and
-//! prefix hash indexes (selected by [`exec::Backend`]), and any future access path
-//! (compressed, distributed, cached) only has to implement the trait.
+//! [`wcoj_storage::TrieAccess`] trait, so they run monomorphized over the CSR trie
+//! (the one static access path) and the delta log's union cursor, and any future
+//! access path (compressed, distributed) only has to implement the trait.
 //!
 //! # Example: the triangle query three ways
 //!
@@ -58,9 +58,8 @@ pub mod planner;
 
 pub use error::ExecError;
 pub use exec::{
-    cache_partitions_enabled, execute, execute_cancellable, execute_explain, execute_opts,
-    execute_opts_with_order, execute_with_order, set_cache_partitions, Backend, CacheMode,
-    CacheStats, CancelToken, Engine, ExecOptions, ExecOutput,
+    execute, execute_cancellable, execute_explain, execute_opts, execute_opts_with_order,
+    execute_with_order, CacheMode, CacheStats, CancelToken, Engine, ExecOptions, ExecOutput,
 };
 pub use planner::{agm_variable_order, plan_order};
 pub use wcoj_obs::{AtomTrace, LevelTrace, MorselTrace, QueryTrace, TraceSink, WorkerTrace};

@@ -1,10 +1,12 @@
 //! Differential tests for the adaptive intersection-kernel layer at the engine
 //! level: every kernel policy (adaptive, forced merge, forced gallop, forced
 //! bitmap) must produce bit-identical engine output across the full workload
-//! suite, on both backends, and the adaptive policy must actually record its
-//! per-kernel choices in the `WorkCounter` breakdown.
+//! suite (and, on a representative few, over delta-log union cursors and in
+//! parallel), and the adaptive policy must actually record its per-kernel
+//! choices in the `WorkCounter` breakdown.
 
-use wcoj_core::exec::{execute_opts, Backend, Engine, ExecOptions};
+use wcoj_core::exec::{execute_opts, Engine, ExecOptions};
+use wcoj_query::Database;
 use wcoj_storage::KernelPolicy;
 use wcoj_workloads::differential_suite;
 
@@ -28,28 +30,39 @@ fn every_kernel_policy_gives_identical_results() {
     }
 }
 
+/// `db` with every relation moved onto the delta log, so each atom runs on the
+/// union cursor instead of a static trie.
+fn delta_backed(db: &Database) -> Database {
+    let mut out = db.clone();
+    for name in db.relation_names() {
+        out.to_delta(name).expect("relation exists");
+    }
+    out
+}
+
 #[test]
 fn kernel_policies_agree_on_both_backends_and_threads() {
-    // policy identity is backend- and schedule-independent: check a representative
-    // cyclic and a wide-atom workload on forced backends and parallel execution
+    // policy identity is storage- and schedule-independent: check a
+    // representative cyclic and a wide-atom workload on static tries, on
+    // delta-log union cursors, and under parallel execution
     for w in [
         wcoj_workloads::hub_spoke(128, 0xB17),
         wcoj_workloads::kclique(4, 64, 0xB18),
         wcoj_workloads::lw4(64, 0xB19),
     ] {
+        let delta_db = delta_backed(&w.db);
         for engine in [Engine::GenericJoin, Engine::Leapfrog] {
             let reference = execute_opts(&w.query, &w.db, &ExecOptions::new(engine)).unwrap();
             for policy in KernelPolicy::ALL {
-                for backend in [Backend::Trie, Backend::Hash] {
+                for (storage, db) in [("trie", &w.db), ("delta", &delta_db)] {
                     for threads in [1usize, 4] {
                         let opts = ExecOptions::new(engine)
                             .with_kernel(policy)
-                            .with_backend(backend)
                             .with_threads(threads);
-                        let out = execute_opts(&w.query, &w.db, &opts).unwrap();
+                        let out = execute_opts(&w.query, db, &opts).unwrap();
                         assert_eq!(
                             out.result, reference.result,
-                            "{}: {engine:?}/{policy:?}/{backend:?} x{threads}",
+                            "{}: {engine:?}/{policy:?}/{storage} x{threads}",
                             w.name
                         );
                     }

@@ -7,7 +7,8 @@
 //! `wcoj_core::exec::parallel` (driver-counted intersection + scheduling-independent
 //! per-extension work).
 
-use wcoj_core::exec::{execute, execute_opts, Backend, Engine, ExecOptions};
+use wcoj_core::exec::{execute, execute_opts, Engine, ExecOptions};
+use wcoj_query::Database;
 use wcoj_workloads::differential_suite;
 
 #[test]
@@ -36,29 +37,39 @@ fn parallel_results_and_merged_counters_equal_serial() {
     }
 }
 
+/// `db` with every relation moved onto the delta log, so each atom runs on the
+/// union cursor instead of a static trie.
+fn delta_backed(db: &Database) -> Database {
+    let mut out = db.clone();
+    for name in db.relation_names() {
+        out.to_delta(name).expect("relation exists");
+    }
+    out
+}
+
 #[test]
 fn parallel_equality_holds_on_both_backends() {
-    // the guarantee is backend-independent: force each engine onto its non-native
-    // access path and repeat the check on a couple of representative workloads
+    // the guarantee is storage-independent: repeat the check with every atom
+    // on a static trie and with every atom on a delta-log union cursor
     for w in [
         wcoj_workloads::triangle(256, 0xBAC0),
         wcoj_workloads::lw4(64, 0xBAC1),
     ] {
-        for engine in [Engine::GenericJoin, Engine::Leapfrog] {
-            for backend in [Backend::Trie, Backend::Hash] {
-                let serial_opts = ExecOptions::new(engine).with_backend(backend);
-                let serial = execute_opts(&w.query, &w.db, &serial_opts).unwrap();
+        for (storage, db) in [("trie", w.db.clone()), ("delta", delta_backed(&w.db))] {
+            for engine in [Engine::GenericJoin, Engine::Leapfrog] {
+                let serial_opts = ExecOptions::new(engine);
+                let serial = execute_opts(&w.query, &db, &serial_opts).unwrap();
                 for threads in [2usize, 4] {
                     let opts = serial_opts.with_threads(threads);
-                    let out = execute_opts(&w.query, &w.db, &opts).unwrap();
+                    let out = execute_opts(&w.query, &db, &opts).unwrap();
                     assert_eq!(
                         out.result, serial.result,
-                        "{}: {engine:?}/{backend:?} x{threads}",
+                        "{}: {engine:?}/{storage} x{threads}",
                         w.name
                     );
                     assert_eq!(
                         out.work, serial.work,
-                        "{}: {engine:?}/{backend:?} x{threads} counters",
+                        "{}: {engine:?}/{storage} x{threads} counters",
                         w.name
                     );
                 }

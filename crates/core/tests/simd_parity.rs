@@ -1,8 +1,8 @@
 //! SIMD-parity property tests: the vector kernels must be **observationally
 //! identical** to the scalar reference — same output tuples in the same order
 //! *and* the same deterministic work counters — across the differential
-//! workload suite, every engine, every access-structure backend, and both the
-//! serial and morsel-parallel paths.
+//! workload suite, every engine, and both the serial and morsel-parallel
+//! paths.
 //!
 //! The sweep flips the process-wide dispatch level with
 //! [`wcoj_storage::simd::force_active_level`] between runs, so it exercises the
@@ -11,7 +11,7 @@
 //! lives in a single `#[test]` because the dispatch level is process-global:
 //! this file must not grow concurrent tests that execute queries.
 
-use wcoj_core::exec::{execute_opts_with_order, Backend, Engine, ExecOptions, KernelCalibration};
+use wcoj_core::exec::{execute_opts_with_order, Engine, ExecOptions, KernelCalibration};
 use wcoj_core::planner::agm_variable_order;
 use wcoj_storage::simd::{self, SimdLevel};
 use wcoj_workloads::differential_suite;
@@ -27,30 +27,23 @@ fn simd_dispatch_is_bit_identical_to_scalar_everywhere() {
     for w in &suite {
         let order = agm_variable_order(&w.query, &w.db).expect("planner");
         for engine in [Engine::GenericJoin, Engine::Leapfrog] {
-            for backend in [Backend::Auto, Backend::Trie, Backend::Hash] {
-                for threads in [1usize, 4] {
-                    // fixed calibration: parity must not depend on what the
-                    // host probe happened to measure
-                    let opts = ExecOptions::new(engine)
-                        .with_backend(backend)
-                        .with_threads(threads)
-                        .with_calibration(KernelCalibration::fixed());
+            for threads in [1usize, 4] {
+                // fixed calibration: parity must not depend on what the
+                // host probe happened to measure
+                let opts = ExecOptions::new(engine)
+                    .with_threads(threads)
+                    .with_calibration(KernelCalibration::fixed());
 
-                    simd::force_active_level(SimdLevel::Scalar);
-                    let scalar =
-                        execute_opts_with_order(&w.query, &w.db, &opts, &order).expect("scalar");
+                simd::force_active_level(SimdLevel::Scalar);
+                let scalar =
+                    execute_opts_with_order(&w.query, &w.db, &opts, &order).expect("scalar");
 
-                    simd::force_active_level(native);
-                    let vector =
-                        execute_opts_with_order(&w.query, &w.db, &opts, &order).expect("simd");
+                simd::force_active_level(native);
+                let vector = execute_opts_with_order(&w.query, &w.db, &opts, &order).expect("simd");
 
-                    let cfg = format!(
-                        "{}/{engine:?}/{backend:?}/t{threads} ({native:?} vs Scalar)",
-                        w.name
-                    );
-                    assert_eq!(vector.result, scalar.result, "{cfg}: output diverged");
-                    assert_eq!(vector.work, scalar.work, "{cfg}: work counters diverged");
-                }
+                let cfg = format!("{}/{engine:?}/t{threads} ({native:?} vs Scalar)", w.name);
+                assert_eq!(vector.result, scalar.result, "{cfg}: output diverged");
+                assert_eq!(vector.work, scalar.work, "{cfg}: work counters diverged");
             }
         }
     }

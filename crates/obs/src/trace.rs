@@ -54,7 +54,7 @@ pub struct LevelTrace {
 pub struct AtomTrace {
     /// Relation name.
     pub relation: String,
-    /// Structure kind built ("trie", "index", "delta", "columns").
+    /// Structure kind built: "trie" (static relation) or "delta" (delta log).
     pub kind: String,
     /// Cache outcome: "hit", "miss", "incremental", or "bypass".
     pub outcome: String,
@@ -90,8 +90,6 @@ pub struct MorselTrace {
 pub struct QueryTrace {
     /// Engine name (e.g. `GenericJoin`).
     pub engine: String,
-    /// Access-path backend actually used (e.g. `Trie`, `Hash`, `Mixed`).
-    pub backend: String,
     /// Worker thread count (1 = serial).
     pub threads: usize,
     /// Chosen variable order, by name.
@@ -160,10 +158,6 @@ impl QueryTrace {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");
         out.push_str(&format!("\"engine\": \"{}\", ", json::escape(&self.engine)));
-        out.push_str(&format!(
-            "\"backend\": \"{}\", ",
-            json::escape(&self.backend)
-        ));
         out.push_str(&format!("\"threads\": {}, ", self.threads));
         out.push_str("\"order\": [");
         for (i, v) in self.order.iter().enumerate() {
@@ -258,9 +252,8 @@ impl QueryTrace {
         }
         let mut out = String::new();
         out.push_str(&format!(
-            "EXPLAIN ANALYZE — {} backend={} threads={} total {}\n",
+            "EXPLAIN ANALYZE — {} threads={} total {}\n",
             self.engine,
-            self.backend,
             self.threads,
             ms(self.total_ns)
         ));
@@ -459,7 +452,6 @@ mod tests {
     fn sample() -> QueryTrace {
         QueryTrace {
             engine: "GenericJoin".into(),
-            backend: "Trie".into(),
             threads: 4,
             order: vec!["a".into(), "b".into(), "c".into()],
             agm_log2: 13.4,

@@ -77,7 +77,7 @@ pub struct ServiceConfig {
     pub max_queued: usize,
     /// Deadline applied to queries that do not bring their own token.
     pub default_deadline: Option<Duration>,
-    /// Engine/backend/threads used for query execution.
+    /// Engine/threads used for query execution.
     pub exec: ExecOptions,
     /// Conflict retries in [`QueryService::apply_with_retry`] before the
     /// conflict is surfaced.

@@ -1,7 +1,6 @@
 //! Incremental maintenance: delta-log relations with mergeable access structures.
 //!
-//! Every access path in this crate ([`crate::Trie`], [`crate::PrefixIndex`]) is
-//! built over an immutable, canonically sorted [`Relation`] — and
+//! The static access path of this crate ([`crate::Trie`]) is built over an immutable, canonically sorted [`Relation`] — and
 //! [`Relation::insert`] pays O(n) per tuple to keep that order. This module adds
 //! the LSM-style storage layout that makes the engines' worst-case-optimal
 //! guarantees usable over a *live, continuously-ingesting* database:
@@ -51,12 +50,11 @@
 //! rows under prefix·value is positive.
 
 use crate::error::StorageError;
-use crate::index::FxHasher;
 use crate::relation::{argsort_columns_threads, Relation, Tuple};
 use crate::schema::Schema;
 use crate::stats::CursorWork;
 use crate::Value;
-use std::hash::BuildHasherDefault;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// A column (or prefix-sum) slice inside an [`AccessRun`]: borrowed straight
@@ -80,6 +78,61 @@ impl<T> std::ops::Deref for SliceRef<'_, T> {
             SliceRef::Owned(v) => v,
             SliceRef::Shared(a) => a,
         }
+    }
+}
+
+/// The multiply-rotate "FxHash" scheme (as in rustc's `FxHasher`) behind the
+/// live-tuple set: the keys are internal dense dictionary codes, so SipHash's
+/// DoS resistance buys nothing there, while its per-word cost dominates the
+/// per-operation liveness probe.
+#[derive(Debug, Default, Clone)]
+struct FxHasher {
+    hash: u64,
+}
+
+impl FxHasher {
+    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
+    }
+}
+
+impl Hasher for FxHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(b as u64);
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, n: u8) {
+        self.add(n as u64);
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    #[inline]
+    fn write_u128(&mut self, n: u128) {
+        // two word-adds, not the default 16 byte-adds — the packed-tuple live
+        // set hashes u128 keys on the hot ingest path
+        self.add(n as u64);
+        self.add((n >> 64) as u64);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.hash
     }
 }
 
@@ -1051,7 +1104,7 @@ impl AccessRun<'_> {
 }
 
 /// The mergeable access structure over a [`DeltaRelation`]'s runs for one
-/// attribute order: what [`crate::Trie`]/[`crate::PrefixIndex`] are to a static
+/// attribute order: what a [`crate::Trie`] is to a static
 /// [`Relation`], this is to a delta log — except construction only re-sorts runs
 /// whose native order differs from the requested one, and a still-unsealed
 /// buffer is collapsed into an ephemeral extra run without mutating the log.
@@ -1403,8 +1456,7 @@ struct DeltaFrame {
 
 /// One-entry memo per depth: the last prefix merged there, its group, and the
 /// merge work that was charged — hits re-charge the same work so the tallies
-/// stay a pure function of the visited values (scheduling-independent), exactly
-/// like [`crate::PrefixCursor`]'s memo.
+/// stay a pure function of the visited values (scheduling-independent).
 #[derive(Debug, Clone)]
 struct DeltaMemo {
     prefix: Vec<Value>,
@@ -1416,8 +1468,8 @@ struct DeltaMemo {
 /// `open` materializes the merged sibling group of the current prefix by an
 /// n-way sorted merge over the runs' ranges, keeping a value iff its signed
 /// subtree count is positive. The root group's merge is uncounted (it is
-/// computed once per run and amortized, mirroring the free root lookup of
-/// [`crate::PrefixCursor`]); deeper merges charge `delta_merge` work that
+/// computed once per run and amortized, like the root group of a
+/// [`crate::TrieCursor`]); deeper merges charge `delta_merge` work that
 /// depends only on the prefix, which is what keeps parallel merged counters
 /// bit-identical to serial execution.
 #[derive(Debug, Clone)]
@@ -1425,8 +1477,8 @@ pub struct DeltaCursor<'a> {
     access: &'a DeltaAccess<'a>,
     frames: Vec<DeltaFrame>,
     memo: Vec<Option<DeltaMemo>>,
-    /// Reused per-`open` prefix assembly buffer (like [`crate::PrefixCursor`]'s
-    /// `prefix_buf`): memo hits — the common case — never allocate.
+    /// Reused per-`open` prefix assembly buffer: memo hits — the common
+    /// case — never allocate.
     prefix_buf: Vec<Value>,
     work: CursorWork,
     simd: crate::simd::SimdLevel,

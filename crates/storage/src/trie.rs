@@ -42,7 +42,7 @@ pub struct Trie {
 }
 
 /// Validate that `attr_order` is a permutation of `rel`'s attributes and return the
-/// column position of each ordered attribute. Shared with [`crate::PrefixIndex`].
+/// column position of each ordered attribute.
 pub(crate) fn order_positions(
     rel: &Relation,
     attr_order: &[&str],
@@ -69,8 +69,8 @@ pub(crate) fn order_positions(
 /// Validate that `positions` is a permutation of `0..rel.arity()` and synthesize the
 /// attribute names of that order from the relation's stored schema. The positional
 /// twin of [`order_positions`], used by the cache-keyed builds
-/// ([`Trie::build_positions`], [`crate::PrefixIndex::build_positions`]) where atom
-/// variables bind to stored columns positionally.
+/// ([`Trie::build_positions`]) where atom variables bind to stored columns
+/// positionally.
 pub(crate) fn positions_order(
     rel: &Relation,
     positions: &[usize],
@@ -108,8 +108,8 @@ pub(crate) fn order_perm(rel: &Relation, positions: &[usize]) -> Option<Vec<usiz
 /// The shared fused-build scan: visit `rel`'s rows in the order of the permuted
 /// columns `positions`, calling `visit(row, depth)` where `depth` is the first
 /// position (in the permuted order) at which the row differs from its predecessor
-/// (0 for the first row). Both [`Trie::build`] and [`crate::PrefixIndex::build`]
-/// drive their single-pass construction off this boundary stream.
+/// (0 for the first row). [`Trie::build`] drives its single-pass construction off
+/// this boundary stream.
 pub(crate) fn fused_scan(rel: &Relation, positions: &[usize], mut visit: impl FnMut(usize, usize)) {
     let arity = positions.len();
     let perm = order_perm(rel, positions);

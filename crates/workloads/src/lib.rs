@@ -451,7 +451,7 @@ pub fn edge_stream(n: usize, seed: u64) -> Workload {
 /// Zipf-skewed sliding-window edge streams (`R` and `S` — several sealed runs
 /// plus a still-unsealed buffer tail) and one static Zipf relation `T`.
 /// Replaying the same query against it is the access-structure cache's target
-/// regime (experiment E8): repeated executions hit cached tries/indexes and
+/// regime (experiment E8): repeated executions hit cached tries and
 /// permuted delta views, each newly sealed run takes the incremental-merge
 /// path instead of a full rebuild, and the live unsealed tail is collapsed
 /// per query exactly as without a cache.
