@@ -26,7 +26,7 @@
 
 use std::time::{Duration, Instant};
 use wcoj_bench::report::{parse_bench_json, write_bench_json, BenchRecord};
-use wcoj_core::exec::{execute_opts_with_order, ExecOptions, KernelCalibration};
+use wcoj_core::exec::{execute_opts_with_order, ExecOptions};
 use wcoj_core::planner::agm_variable_order;
 use wcoj_query::query::examples;
 use wcoj_query::Database;
@@ -270,7 +270,6 @@ fn main() {
     let n = if smoke { 2_000 } else { 20_000 };
     let iters = if smoke { 20 } else { 100 };
     let q = examples::triangle();
-    let fixed = KernelCalibration::fixed();
     let mut db = Database::new();
     for (name, cols, salt) in [
         ("R", ["a", "b"], 1u64),
@@ -286,7 +285,7 @@ fn main() {
         db.insert_delta_relation(name, delta);
     }
     let order = agm_variable_order(&q, &db).expect("planner");
-    let opts = ExecOptions::default().with_calibration(fixed);
+    let opts = ExecOptions::default();
     // pin the "old" state, then advance the live catalog past it
     let snap = db.snapshot();
     for name in ["R", "S", "T"] {

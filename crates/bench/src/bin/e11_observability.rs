@@ -23,9 +23,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use wcoj_bench::report::{parse_bench_json, write_bench_json, BenchRecord};
-use wcoj_core::exec::{
-    execute_explain, execute_opts_with_order, CacheMode, Engine, ExecOptions, KernelCalibration,
-};
+use wcoj_core::exec::{execute_explain, execute_opts_with_order, CacheMode, Engine, ExecOptions};
 use wcoj_core::planner::agm_variable_order;
 use wcoj_core::TraceSink;
 use wcoj_obs::Json;
@@ -79,7 +77,7 @@ fn main() {
     println!("E11.1 EXPLAIN ANALYZE (triangle over a delta-backed relation):");
     let db = delta_triangle_db();
     let q = examples::clique(3);
-    let opts = ExecOptions::new(Engine::GenericJoin).with_calibration(KernelCalibration::fixed());
+    let opts = ExecOptions::new(Engine::GenericJoin);
     let (out, trace) = execute_explain(&q, &db, &opts).expect("explain");
     println!("{}", trace.render_tree());
     let json = Json::parse(&trace.to_json()).expect("trace JSON parses");
@@ -106,9 +104,7 @@ fn main() {
     let w = triangle(n, 97);
     let order = agm_variable_order(&w.query, &w.db).expect("planner");
     for engine in [Engine::GenericJoin, Engine::Leapfrog] {
-        let base = ExecOptions::new(engine)
-            .with_cache(CacheMode::Off)
-            .with_calibration(KernelCalibration::fixed());
+        let base = ExecOptions::new(engine).with_cache(CacheMode::Off);
         let plain = execute_opts_with_order(&w.query, &w.db, &base, &order).expect("plain");
         let off_ms = median_ms(reps, || {
             let out = execute_opts_with_order(&w.query, &w.db, &base, &order).expect("off");

@@ -13,23 +13,14 @@
 
 use wcoj_bench::ExperimentTable;
 use wcoj_bounds::agm::agm_bound;
-use wcoj_core::exec::{execute_opts, Engine, ExecOptions, KernelCalibration};
+use wcoj_core::exec::{execute_opts, Engine, ExecOptions};
 use wcoj_workloads::{triangle, triangle_adversarial, Workload};
 
 fn row(table: &mut ExperimentTable, w: &Workload, threads: usize) {
     let agm = agm_bound(&w.query, &w.db).expect("agm").tuple_bound();
-    let bh = execute_opts(
-        &w.query,
-        &w.db,
-        &ExecOptions::new(Engine::BinaryHash).with_calibration(KernelCalibration::fixed()),
-    )
-    .expect("binary");
-    let gj_opts = ExecOptions::new(Engine::GenericJoin)
-        .with_threads(threads)
-        .with_calibration(KernelCalibration::fixed());
-    let lf_opts = ExecOptions::new(Engine::Leapfrog)
-        .with_threads(threads)
-        .with_calibration(KernelCalibration::fixed());
+    let bh = execute_opts(&w.query, &w.db, &ExecOptions::new(Engine::BinaryHash)).expect("binary");
+    let gj_opts = ExecOptions::new(Engine::GenericJoin).with_threads(threads);
+    let lf_opts = ExecOptions::new(Engine::Leapfrog).with_threads(threads);
     let gj = execute_opts(&w.query, &w.db, &gj_opts).expect("generic join");
     let lf = execute_opts(&w.query, &w.db, &lf_opts).expect("leapfrog");
     assert_eq!(gj.result, lf.result);

@@ -1,37 +1,27 @@
-//! E7: hardware-calibrated kernels — the measurements behind the
-//! `EXPERIMENTS.md` E7 writeup.
+//! E7: SIMD kernels — the measurements behind the `EXPERIMENTS.md` E7
+//! writeup.
 //!
-//! Four sections:
+//! Two sections, numbered as in `EXPERIMENTS.md`:
 //!
-//! 1. **Probe** — run the startup auto-tune micro-benchmark
-//!    ([`wcoj_storage::tune::probe`]) and report the calibrated thresholds and
-//!    the probe's wall-clock (budget: 50ms).
-//! 2. **Kernel microbench** — the merge/gallop/bitmap kernels at every
-//!    runnable SIMD level on dense and short/skewed list shapes, so the
-//!    SIMD-vs-scalar ratio of each inner loop is visible in isolation.
-//! 3. **End-to-end SIMD A/B** — serial triangle joins (uniform and Zipf) with
-//!    process-wide dispatch flipped between `Scalar` and the native level via
-//!    [`wcoj_storage::simd::force_active_level`]; asserts bit-identical output
-//!    and work counters, reports the wall-clock ratio.
-//! 4. **Calibrated-vs-fixed** — the same joins under the probe's calibration
-//!    vs [`KernelCalibration::fixed`], showing what host tuning buys (or
-//!    honestly, when the host agrees with the fixed constants, that it buys
-//!    nothing).
-//! 5. **Morsel scaling** — threads 1/2/4 with topology-aware placement
-//!    (pinning state reported; disable with `WCOJ_NO_PIN=1` to A/B across
-//!    runs).
+//! * **E7.2 kernel microbench** — the merge and bitmap kernels at every
+//!   runnable SIMD level on dense and short/skewed list shapes, so the
+//!   SIMD-vs-scalar ratio of each inner loop is visible in isolation.
+//! * **E7.3 end-to-end SIMD A/B** — serial triangle joins (uniform and Zipf)
+//!   with process-wide dispatch flipped between `Scalar` and the native level
+//!   via [`wcoj_storage::simd::force_active_level`]; asserts bit-identical
+//!   output and work counters, reports the wall-clock ratio.
 //!
 //! `--smoke` shrinks sizes/iterations for CI; the full run backs the numbers
-//! quoted in `EXPERIMENTS.md`.
+//! quoted in `EXPERIMENTS.md` and records the `e7_*` rows of
+//! `BENCH_joins.json`.
 
 use std::time::Instant;
 use wcoj_bench::report::{parse_bench_json, write_bench_json, BenchRecord};
 use wcoj_bounds::agm::agm_bound;
-use wcoj_core::exec::{execute_opts_with_order, Engine, ExecOptions, KernelCalibration};
+use wcoj_core::exec::{execute_opts_with_order, Engine, ExecOptions};
 use wcoj_core::planner::agm_variable_order;
 use wcoj_storage::simd::{self, SimdLevel};
-use wcoj_storage::topology::{pinning_enabled, CpuTopology};
-use wcoj_storage::{kernels, tune, KernelPolicy, Value, WorkCounter};
+use wcoj_storage::{kernels, KernelPolicy, Value, WorkCounter};
 use wcoj_workloads::{triangle, triangle_skewed, Workload};
 
 fn min_time_ms<F: FnMut()>(mut f: F, iters: usize) -> f64 {
@@ -80,24 +70,7 @@ fn main() {
     let (n, iters) = if smoke { (2_048, 3) } else { (16_384, 15) };
     let native = simd::detect_level();
 
-    // ---- 1. probe --------------------------------------------------------
-    let (cal, probe_ms) = tune::probe(native);
-    println!("E7.1 auto-tune probe at {native:?}: {probe_ms:.2}ms (budget 50ms)");
-    println!(
-        "  calibrated: merge_max_ratio={} bitmap_max_span={} bitmap_span_per_element={} linear_seek_max={}",
-        cal.merge_max_ratio, cal.bitmap_max_span, cal.bitmap_span_per_element, cal.linear_seek_max
-    );
-    let fixed = KernelCalibration::fixed();
-    println!(
-        "  fixed:      merge_max_ratio={} bitmap_max_span={} bitmap_span_per_element={} linear_seek_max={}",
-        fixed.merge_max_ratio, fixed.bitmap_max_span, fixed.bitmap_span_per_element, fixed.linear_seek_max
-    );
-    assert!(
-        probe_ms < 50.0,
-        "probe blew its 50ms budget: {probe_ms:.2}ms"
-    );
-
-    // ---- 2. kernel microbench -------------------------------------------
+    // ---- E7.2 kernel microbench ------------------------------------------
     println!("\nE7.2 kernel microbench (min of {iters}, lower is better)");
     let mut seed = 0xE7u64;
     let dense_a: Vec<Value> = (0..4096u64).map(|i| i * 3).collect();
@@ -110,11 +83,7 @@ fn main() {
     ];
     let w = WorkCounter::new();
     for (shape, lists, reps) in shapes {
-        for policy in [
-            KernelPolicy::Merge,
-            KernelPolicy::Gallop,
-            KernelPolicy::Bitmap,
-        ] {
+        for policy in [KernelPolicy::Merge, KernelPolicy::Bitmap] {
             let mut line = format!("  {shape} {policy:?}:");
             for level in simd::runnable_levels() {
                 let mut out = Vec::new();
@@ -132,10 +101,8 @@ fn main() {
         }
     }
 
-    // ---- 3. end-to-end SIMD A/B -----------------------------------------
-    println!(
-        "\nE7.3 end-to-end serial joins, {native:?} vs Scalar (fixed calibration, min of {iters})"
-    );
+    // ---- E7.3 end-to-end SIMD A/B ----------------------------------------
+    println!("\nE7.3 end-to-end serial joins, {native:?} vs Scalar (min of {iters})");
     let workloads = [
         (format!("uniform_n{n}"), triangle(n, 0xC0FFEE)),
         (
@@ -147,7 +114,7 @@ fn main() {
     for (name, w) in &workloads {
         let agm = agm_bound(&w.query, &w.db).expect("agm").tuple_bound();
         for engine in [Engine::GenericJoin, Engine::Leapfrog] {
-            let opts = ExecOptions::new(engine).with_calibration(fixed);
+            let opts = ExecOptions::new(engine);
             simd::force_active_level(SimdLevel::Scalar);
             let (scalar_ms, scalar_out) = run_serial(w, &opts, iters);
             simd::force_active_level(native);
@@ -186,49 +153,6 @@ fn main() {
         }
     }
 
-    // ---- 4. calibrated vs fixed -----------------------------------------
-    println!("\nE7.4 probe calibration vs fixed constants ({native:?} dispatch, min of {iters})");
-    simd::force_active_level(native);
-    for (name, w) in &workloads {
-        for engine in [Engine::GenericJoin, Engine::Leapfrog] {
-            let (fixed_ms, fixed_out) =
-                run_serial(w, &ExecOptions::new(engine).with_calibration(fixed), iters);
-            let (cal_ms, cal_out) =
-                run_serial(w, &ExecOptions::new(engine).with_calibration(cal), iters);
-            assert_eq!(cal_out.result, fixed_out.result, "{name}/{engine:?} output");
-            println!(
-                "  {name}/{engine:?}: fixed {fixed_ms:.2}ms -> calibrated {cal_ms:.2}ms (x{:.2}, work {} -> {})",
-                fixed_ms / cal_ms,
-                fixed_out.work.total_work(),
-                cal_out.work.total_work()
-            );
-        }
-    }
-
-    // ---- 5. morsel scaling ----------------------------------------------
-    let topo = CpuTopology::detect();
-    println!(
-        "\nE7.5 morsel scaling (uniform, GenericJoin; {} CPUs over {} package(s), pinning {})",
-        topo.slots().len(),
-        topo.packages(),
-        if pinning_enabled() {
-            "on"
-        } else {
-            "off (WCOJ_NO_PIN)"
-        }
-    );
-    let (name, w) = &workloads[0];
-    let serial_opts = ExecOptions::new(Engine::GenericJoin).with_calibration(fixed);
-    let (serial_ms, serial_out) = run_serial(w, &serial_opts, iters);
-    println!("  {name}/t1: {serial_ms:.2}ms (x1.00)");
-    for threads in [2usize, 4] {
-        let opts = serial_opts.with_threads(threads);
-        let (ms, out) = run_serial(w, &opts, iters);
-        assert_eq!(out.result, serial_out.result, "t{threads} output");
-        assert_eq!(out.work, serial_out.work, "t{threads} counters");
-        println!("  {name}/t{threads}: {ms:.2}ms (x{:.2})", serial_ms / ms);
-    }
-
     // ---- record E7 rows into BENCH_joins.json (full runs only) -----------
     if !smoke {
         let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -238,12 +162,16 @@ fn main() {
             .ok()
             .and_then(|doc| parse_bench_json(&doc))
             .unwrap_or_default();
-        // replace any previous E7 rows, keep everything else untouched
+        // replace any previous E7 rows in place, keep everything else untouched
+        let at = records
+            .iter()
+            .position(|r| r.workload.starts_with("e7_"))
+            .unwrap_or(records.len());
         records.retain(|r| !r.workload.starts_with("e7_"));
-        records.extend(e7_records);
+        records.splice(at..at, e7_records);
         match write_bench_json(
             &path,
-            "cargo bench -p wcoj-bench (+ e7_hw_calibration)",
+            "cargo bench -p wcoj-bench (+ e7_hw_calibration, e8_view_cache, e10_group_commit, e11_observability)",
             &records,
         ) {
             Ok(()) => println!("\nwrote E7 rows into {}", path.display()),

@@ -33,7 +33,6 @@ use wcoj_bench::report::{parse_bench_json, write_bench_json, BenchRecord};
 use wcoj_bounds::agm::agm_bound;
 use wcoj_core::exec::{
     execute_opts_with_order, CacheMode, CacheStats, Engine, ExecOptions, ExecOutput,
-    KernelCalibration,
 };
 use wcoj_core::planner::agm_variable_order;
 use wcoj_query::query::examples;
@@ -105,7 +104,6 @@ fn main() {
     } else {
         (16_384, 15, 400)
     };
-    let fixed = KernelCalibration::fixed();
 
     // ---- 1. cold / warm / off -------------------------------------------
     println!("E8.1 repeated-query latency: cache off vs cold vs warm (min of {iters})");
@@ -124,7 +122,7 @@ fn main() {
         let agm = agm_bound(&w.query, &w.db).expect("agm").tuple_bound();
         let order = agm_variable_order(&w.query, &w.db).expect("planner");
         for engine in [Engine::GenericJoin, Engine::Leapfrog] {
-            let base = ExecOptions::new(engine).with_calibration(fixed);
+            let base = ExecOptions::new(engine);
             let off_opts = base.with_cache(CacheMode::Off);
             let off_out = execute_opts_with_order(&w.query, &w.db, &off_opts, &order).expect("off");
             let off_ms = min_time_ms(
@@ -204,7 +202,7 @@ fn main() {
     );
     // non-native order: R's columns must be permuted, so its view is cached
     let order = vec![2usize, 1, 0];
-    let opts = ExecOptions::new(Engine::GenericJoin).with_calibration(fixed);
+    let opts = ExecOptions::new(Engine::GenericJoin);
     let db_old = db.clone(); // shares the access cache with db
     let batch = (n / 64).max(16);
     let mut rng = SplitMix64::new(0xE824);
@@ -267,7 +265,7 @@ fn main() {
         [2, 1, 0],
     ];
     // reference outputs per order, computed cache-off once
-    let opts = ExecOptions::new(Engine::GenericJoin).with_calibration(fixed);
+    let opts = ExecOptions::new(Engine::GenericJoin);
     let refs: Vec<Relation> = orders
         .iter()
         .map(|o| {
@@ -317,7 +315,7 @@ fn main() {
     println!("\nE8.4 honest negatives");
     let w = triangle(n, 0xC0FFEE);
     let order = agm_variable_order(&w.query, &w.db).expect("planner");
-    let opts = ExecOptions::new(Engine::GenericJoin).with_calibration(fixed);
+    let opts = ExecOptions::new(Engine::GenericJoin);
     let off_ms = min_time_ms(
         || {
             let _ =

@@ -23,7 +23,7 @@
 
 use super::{first_extension_set, flush_cursor_work, level_extension_into};
 use wcoj_obs::LevelRecorder;
-use wcoj_storage::{KernelCalibration, KernelPolicy, TrieAccess, Tuple, Value, WorkCounter};
+use wcoj_storage::{KernelPolicy, TrieAccess, Tuple, Value, WorkCounter};
 
 /// Run Generic Join over one cursor per atom.
 ///
@@ -37,21 +37,11 @@ pub fn generic_join<C: TrieAccess>(
     cursors: &mut [C],
     participants: &[Vec<usize>],
     policy: KernelPolicy,
-    cal: &KernelCalibration,
     counter: &WorkCounter,
 ) -> Vec<Value> {
     let mut out = Vec::new();
-    let e0 = first_extension_set(cursors, &participants[0], policy, cal, counter, None);
-    join_extensions(
-        cursors,
-        participants,
-        &e0,
-        policy,
-        cal,
-        counter,
-        None,
-        &mut out,
-    );
+    let e0 = first_extension_set(cursors, &participants[0], policy, counter, None);
+    join_extensions(cursors, participants, &e0, policy, counter, None, &mut out);
     for &ci in &participants[0] {
         cursors[ci].up();
     }
@@ -73,7 +63,6 @@ pub(crate) fn join_extensions<C: TrieAccess>(
     participants: &[Vec<usize>],
     values: &[Value],
     policy: KernelPolicy,
-    cal: &KernelCalibration,
     counter: &WorkCounter,
     trace: Option<&LevelRecorder>,
     out: &mut Vec<Value>,
@@ -104,7 +93,6 @@ pub(crate) fn join_extensions<C: TrieAccess>(
             &mut binding,
             out,
             policy,
-            cal,
             &mut scratch,
             counter,
             trace,
@@ -122,7 +110,6 @@ fn descend<C: TrieAccess>(
     binding: &mut Tuple,
     out: &mut Vec<Value>,
     policy: KernelPolicy,
-    cal: &KernelCalibration,
     scratch: &mut [Vec<Value>],
     counter: &WorkCounter,
     trace: Option<&LevelRecorder>,
@@ -155,7 +142,6 @@ fn descend<C: TrieAccess>(
         cursors,
         parts,
         policy,
-        cal,
         counter,
         trace.map(|t| (t, level)),
     );
@@ -188,7 +174,6 @@ fn descend<C: TrieAccess>(
                 binding,
                 out,
                 policy,
-                cal,
                 scratch,
                 counter,
                 trace,
@@ -224,13 +209,7 @@ mod tests {
         ];
         let w = WorkCounter::new();
         let mut cursors: Vec<_> = tries.iter().map(|t| t.cursor()).collect();
-        let from_tries = generic_join(
-            &mut cursors,
-            &participants,
-            KernelPolicy::Adaptive,
-            &KernelCalibration::fixed(),
-            &w,
-        );
+        let from_tries = generic_join(&mut cursors, &participants, KernelPolicy::Adaptive, &w);
 
         let deltas = [
             DeltaRelation::from_relation(r),
@@ -243,13 +222,7 @@ mod tests {
             DeltaAccess::build(&deltas[2], &["A", "C"], 1).unwrap(),
         ];
         let mut cursors: Vec<_> = accesses.iter().map(|a| a.cursor()).collect();
-        let from_deltas = generic_join(
-            &mut cursors,
-            &participants,
-            KernelPolicy::Adaptive,
-            &KernelCalibration::fixed(),
-            &w,
-        );
+        let from_deltas = generic_join(&mut cursors, &participants, KernelPolicy::Adaptive, &w);
 
         // row-major flat output: (1,2,3), (1,3,4), (2,3,1)
         let expected = vec![1, 2, 3, 1, 3, 4, 2, 3, 1];
@@ -275,13 +248,7 @@ mod tests {
             trie_t.cursor().into(),
         ];
         let participants = vec![vec![0, 2], vec![0, 1], vec![1, 2]];
-        let out = generic_join(
-            &mut cursors,
-            &participants,
-            KernelPolicy::Adaptive,
-            &KernelCalibration::fixed(),
-            &w,
-        );
+        let out = generic_join(&mut cursors, &participants, KernelPolicy::Adaptive, &w);
         assert_eq!(out, vec![1, 2, 3, 1, 3, 4, 2, 3, 1]);
         assert!(
             w.delta_merge() > 0,
@@ -303,7 +270,6 @@ mod tests {
             &mut cursors,
             &[vec![0], vec![0, 1], vec![1]],
             KernelPolicy::Adaptive,
-            &KernelCalibration::fixed(),
             &w,
         );
         assert!(out.is_empty());

@@ -21,7 +21,7 @@
 
 use super::{first_extension_set, flush_cursor_work, level_extension_into};
 use wcoj_obs::LevelRecorder;
-use wcoj_storage::{KernelCalibration, KernelPolicy, TrieAccess, Tuple, Value, WorkCounter};
+use wcoj_storage::{KernelPolicy, TrieAccess, Tuple, Value, WorkCounter};
 
 /// Run Leapfrog Triejoin over one cursor per atom.
 ///
@@ -32,21 +32,11 @@ pub fn leapfrog_triejoin<C: TrieAccess>(
     cursors: &mut [C],
     participants: &[Vec<usize>],
     policy: KernelPolicy,
-    cal: &KernelCalibration,
     counter: &WorkCounter,
 ) -> Vec<Value> {
     let mut out = Vec::new();
-    let e0 = first_extension_set(cursors, &participants[0], policy, cal, counter, None);
-    join_extensions(
-        cursors,
-        participants,
-        &e0,
-        policy,
-        cal,
-        counter,
-        None,
-        &mut out,
-    );
+    let e0 = first_extension_set(cursors, &participants[0], policy, counter, None);
+    join_extensions(cursors, participants, &e0, policy, counter, None, &mut out);
     for &ci in &participants[0] {
         cursors[ci].up();
     }
@@ -67,7 +57,6 @@ pub(crate) fn join_extensions<C: TrieAccess>(
     participants: &[Vec<usize>],
     values: &[Value],
     policy: KernelPolicy,
-    cal: &KernelCalibration,
     counter: &WorkCounter,
     trace: Option<&LevelRecorder>,
     out: &mut Vec<Value>,
@@ -97,7 +86,6 @@ pub(crate) fn join_extensions<C: TrieAccess>(
             &mut binding,
             out,
             policy,
-            cal,
             &mut scratch,
             counter,
             trace,
@@ -115,7 +103,6 @@ fn descend<C: TrieAccess>(
     binding: &mut Tuple,
     out: &mut Vec<Value>,
     policy: KernelPolicy,
-    cal: &KernelCalibration,
     scratch: &mut Vec<Value>,
     counter: &WorkCounter,
     trace: Option<&LevelRecorder>,
@@ -150,7 +137,6 @@ fn descend<C: TrieAccess>(
             cursors,
             parts,
             policy,
-            cal,
             counter,
             trace.map(|t| (t, level)),
         );
@@ -193,7 +179,6 @@ fn descend<C: TrieAccess>(
                 binding,
                 out,
                 policy,
-                cal,
                 scratch,
                 counter,
                 trace,
@@ -239,22 +224,10 @@ mod tests {
         ];
         let w = WorkCounter::new();
         let mut cursors: Vec<_> = tries.iter().map(|t| t.cursor()).collect();
-        let lf = leapfrog_triejoin(
-            &mut cursors,
-            &participants,
-            KernelPolicy::Adaptive,
-            &KernelCalibration::fixed(),
-            &w,
-        );
+        let lf = leapfrog_triejoin(&mut cursors, &participants, KernelPolicy::Adaptive, &w);
 
         let mut cursors: Vec<_> = tries.iter().map(|t| t.cursor()).collect();
-        let gj = generic_join(
-            &mut cursors,
-            &participants,
-            KernelPolicy::Adaptive,
-            &KernelCalibration::fixed(),
-            &w,
-        );
+        let gj = generic_join(&mut cursors, &participants, KernelPolicy::Adaptive, &w);
         assert_eq!(lf, gj);
         // row-major flat output: (1,2,3), (1,3,4), (2,3,1), (4,5,6)
         assert_eq!(lf, vec![1, 2, 3, 1, 3, 4, 2, 3, 1, 4, 5, 6]);
@@ -270,7 +243,6 @@ mod tests {
             &mut cursors,
             &[vec![0], vec![0]],
             KernelPolicy::Adaptive,
-            &KernelCalibration::fixed(),
             &w,
         );
         assert_eq!(out, vec![1, 2, 3, 4]);

@@ -79,11 +79,11 @@ use wcoj_query::database::VarBinding;
 use wcoj_query::plan::{atom_attr_order, atom_levels, is_valid_order};
 use wcoj_query::{AtomSource, ConjunctiveQuery, Database, VarId};
 use wcoj_storage::typed::TypedRows;
+pub use wcoj_storage::CacheStats;
 use wcoj_storage::{
     kernels, AttrType, CacheKey, CacheKind, CachedValue, CursorKind, DeltaAccess, DeltaRelation,
     DeltaView, KernelPolicy, Relation, Schema, Trie, TrieAccess, Value, WorkCounter,
 };
-pub use wcoj_storage::{CacheStats, KernelCalibration};
 
 /// Which join engine to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,14 +136,6 @@ pub struct ExecOptions {
     /// intersection; the other values force one kernel (used by differential
     /// tests and experiments). Ignored by the binary baseline.
     pub kernel: KernelPolicy,
-    /// Kernel-selection and seek thresholds. `None` (the default) uses the
-    /// host calibration ([`KernelCalibration::host`]: cached micro-benchmark
-    /// probe, overridable per-field via environment variables); `Some` pins
-    /// explicit thresholds — benchmarks and recorded baselines pin
-    /// [`KernelCalibration::fixed`] so their work counters stay
-    /// machine-independent. Thresholds change which kernel/tally a given
-    /// intersection or seek lands in, never the result.
-    pub calibration: Option<KernelCalibration>,
     /// Access-structure cache behavior (see [`CacheMode`]): reuse builds from
     /// the database's shared cache ([`CacheMode::On`], the default), pin them
     /// against eviction, or bypass the cache. Ignored by the binary baseline,
@@ -166,7 +158,6 @@ impl PartialEq for ExecOptions {
         self.engine == other.engine
             && self.threads == other.threads
             && self.kernel == other.kernel
-            && self.calibration == other.calibration
             && self.cache == other.cache
     }
 }
@@ -179,7 +170,6 @@ impl Default for ExecOptions {
             engine: Engine::GenericJoin,
             threads: 1,
             kernel: KernelPolicy::Adaptive,
-            calibration: None,
             cache: CacheMode::On,
             trace: None,
         }
@@ -211,14 +201,6 @@ impl ExecOptions {
         }
     }
 
-    /// Builder-style calibration pin (see [`ExecOptions::calibration`]).
-    pub fn with_calibration(&self, cal: KernelCalibration) -> Self {
-        ExecOptions {
-            calibration: Some(cal),
-            ..self.clone()
-        }
-    }
-
     /// Builder-style cache-mode override (see [`ExecOptions::cache`]).
     pub fn with_cache(&self, cache: CacheMode) -> Self {
         ExecOptions {
@@ -245,13 +227,6 @@ impl ExecOptions {
         } else {
             self.threads
         }
-    }
-
-    /// The concrete thresholds: the pinned calibration if set, else the host
-    /// calibration (probed once per process, cached on disk).
-    pub fn resolved_calibration(&self) -> KernelCalibration {
-        self.calibration
-            .unwrap_or_else(|| *KernelCalibration::host())
     }
 }
 
@@ -410,7 +385,7 @@ pub fn execute_cancellable(
 /// installed: one [`LevelRecorder`] cell row per join variable (engines record
 /// into it with relaxed atomics — per-level sums are commutative, so the
 /// deterministic fields are identical for any thread count) and a slot the
-/// morsel scheduler fills with its per-worker claim/steal/pin report.
+/// morsel scheduler fills with its per-worker claim report.
 pub(crate) struct TraceCtx {
     pub(crate) levels: LevelRecorder,
     pub(crate) morsels: Mutex<Option<MorselTrace>>,
@@ -499,7 +474,6 @@ fn execute_inner(
             )?;
             build_ns = build_started.map_or(0, |t| t.elapsed().as_nanos() as u64);
             let parts = participants(query, order);
-            let cal = opts.resolved_calibration();
             if tracing {
                 trace_ctx = Some(TraceCtx {
                     levels: LevelRecorder::new(order.len()),
@@ -512,7 +486,6 @@ fn execute_inner(
                 &parts,
                 threads,
                 opts.kernel,
-                &cal,
                 &counter,
                 token,
                 trace_ctx.as_ref(),
@@ -877,7 +850,6 @@ impl<'d> BuiltAccess<'d> {
         participants: &[Vec<usize>],
         threads: usize,
         policy: KernelPolicy,
-        cal: &KernelCalibration,
         counter: &WorkCounter,
         token: Option<&CancelToken>,
         trace: Option<&TraceCtx>,
@@ -889,7 +861,6 @@ impl<'d> BuiltAccess<'d> {
                 participants,
                 threads,
                 policy,
-                cal,
                 counter,
                 token,
                 trace,
@@ -900,7 +871,6 @@ impl<'d> BuiltAccess<'d> {
                 participants,
                 threads,
                 policy,
-                cal,
                 counter,
                 token,
                 trace,
@@ -922,7 +892,6 @@ fn run_cursors<C, F>(
     participants: &[Vec<usize>],
     threads: usize,
     policy: KernelPolicy,
-    cal: &KernelCalibration,
     counter: &WorkCounter,
     token: Option<&CancelToken>,
     trace: Option<&TraceCtx>,
@@ -934,22 +903,15 @@ where
     let levels = trace.map(|t| &t.levels);
     if threads <= 1 {
         let mut cursors = make_cursors();
-        for c in cursors.iter_mut() {
-            c.set_seek_calibration(cal.linear_seek_max);
-        }
         match token {
             None => match levels {
                 None => Ok(match engine {
                     Engine::GenericJoin => {
-                        generic::generic_join(&mut cursors, participants, policy, cal, counter)
+                        generic::generic_join(&mut cursors, participants, policy, counter)
                     }
-                    Engine::Leapfrog => leapfrog::leapfrog_triejoin(
-                        &mut cursors,
-                        participants,
-                        policy,
-                        cal,
-                        counter,
-                    ),
+                    Engine::Leapfrog => {
+                        leapfrog::leapfrog_triejoin(&mut cursors, participants, policy, counter)
+                    }
                     Engine::BinaryHash => unreachable!("the binary baseline has no cursor path"),
                 }),
                 Some(levels) => {
@@ -960,7 +922,6 @@ where
                         &mut cursors,
                         &participants[0],
                         policy,
-                        cal,
                         counter,
                         Some(levels),
                     );
@@ -971,7 +932,6 @@ where
                         participants,
                         &e0,
                         policy,
-                        cal,
                         counter,
                         Some(levels),
                         &mut out,
@@ -983,14 +943,8 @@ where
                 // chunked serial body: same driver charge + per-slice engine
                 // body as the morsel path, with a token poll between slices
                 token.check()?;
-                let e0 = first_extension_set(
-                    &mut cursors,
-                    &participants[0],
-                    policy,
-                    cal,
-                    counter,
-                    levels,
-                );
+                let e0 =
+                    first_extension_set(&mut cursors, &participants[0], policy, counter, levels);
                 let mut out = Vec::new();
                 for chunk in e0.chunks(CANCEL_CHUNK) {
                     token.check()?;
@@ -1000,7 +954,6 @@ where
                         participants,
                         chunk,
                         policy,
-                        cal,
                         counter,
                         levels,
                         &mut out,
@@ -1016,7 +969,6 @@ where
             participants,
             threads,
             policy,
-            cal,
             counter,
             token,
             trace,
@@ -1032,7 +984,6 @@ pub(crate) fn first_extension_set<C: TrieAccess>(
     cursors: &mut [C],
     parts0: &[usize],
     policy: KernelPolicy,
-    cal: &KernelCalibration,
     counter: &WorkCounter,
     trace: Option<&LevelRecorder>,
 ) -> Vec<Value> {
@@ -1047,7 +998,6 @@ pub(crate) fn first_extension_set<C: TrieAccess>(
         cursors,
         parts0,
         policy,
-        cal,
         counter,
         trace.map(|t| (t, 0)),
     );
@@ -1057,8 +1007,8 @@ pub(crate) fn first_extension_set<C: TrieAccess>(
 /// Compute the extension set of one join variable — the kernel-layer intersection
 /// of the open participant cursors' remaining sibling groups — into `ext`. This is
 /// the single intersection seam of both WCOJ engines: every level's candidate set
-/// flows through [`wcoj_storage::kernels::intersect_into_cal`], so the policy, the
-/// calibrated thresholds, and the per-kernel work/choice tallies apply uniformly.
+/// flows through [`wcoj_storage::kernels::intersect_into_at`], so the policy, the
+/// kernel thresholds, and the per-kernel work/choice tallies apply uniformly.
 /// The SIMD level is the process-wide detected one — it never changes output or
 /// counters, only the instruction mix.
 ///
@@ -1072,7 +1022,6 @@ pub(crate) fn level_extension_into<C: TrieAccess>(
     cursors: &[C],
     parts: &[usize],
     policy: KernelPolicy,
-    cal: &KernelCalibration,
     counter: &WorkCounter,
     trace: Option<(&LevelRecorder, usize)>,
 ) {
@@ -1085,10 +1034,10 @@ pub(crate) fn level_extension_into<C: TrieAccess>(
         for (slot, &ci) in buf.iter_mut().zip(parts) {
             *slot = cursors[ci].remaining();
         }
-        kernels::intersect_into_cal(level, ext, &buf[..parts.len()], policy, cal, counter)
+        kernels::intersect_into_at(level, ext, &buf[..parts.len()], policy, counter)
     } else {
         let slices: Vec<&[Value]> = parts.iter().map(|&ci| cursors[ci].remaining()).collect();
-        kernels::intersect_into_cal(level, ext, &slices, policy, cal, counter)
+        kernels::intersect_into_at(level, ext, &slices, policy, counter)
     };
     if let (Some((rec, lvl)), Some((steps0, cmps0))) = (trace, before) {
         rec.record_intersection(
@@ -1125,32 +1074,17 @@ pub(crate) fn engine_join_extensions<C: TrieAccess>(
     participants: &[Vec<usize>],
     values: &[Value],
     policy: KernelPolicy,
-    cal: &KernelCalibration,
     counter: &WorkCounter,
     trace: Option<&LevelRecorder>,
     out: &mut Vec<Value>,
 ) {
     match engine {
-        Engine::GenericJoin => generic::join_extensions(
-            cursors,
-            participants,
-            values,
-            policy,
-            cal,
-            counter,
-            trace,
-            out,
-        ),
-        Engine::Leapfrog => leapfrog::join_extensions(
-            cursors,
-            participants,
-            values,
-            policy,
-            cal,
-            counter,
-            trace,
-            out,
-        ),
+        Engine::GenericJoin => {
+            generic::join_extensions(cursors, participants, values, policy, counter, trace, out)
+        }
+        Engine::Leapfrog => {
+            leapfrog::join_extensions(cursors, participants, values, policy, counter, trace, out)
+        }
         Engine::BinaryHash => unreachable!("the binary baseline has no cursor path"),
     }
 }

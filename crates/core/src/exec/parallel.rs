@@ -19,18 +19,6 @@
 //! No locks are taken on the hot path; the single mutex is touched once per worker
 //! at shutdown to deposit results.
 //!
-//! # Topology-aware placement
-//!
-//! Workers are pinned to CPUs by [`wcoj_storage::topology::CpuTopology::pin_plan`]
-//! (distinct physical cores before SMT siblings, one socket filled before the
-//! next; advisory — `WCOJ_NO_PIN=1` disables it), and the morsel sequence is
-//! partitioned into one **contiguous range per socket group**, sized
-//! proportionally to the group's worker count. A worker claims from its own
-//! group's range first (socket-local atomics, socket-local portions of the
-//! extension set) and steals from other groups only when its range is drained.
-//! Placement changes *which worker* runs a morsel, never the morsel boundaries
-//! — so results and merged counters stay bit-identical to serial execution.
-//!
 //! # Determinism
 //!
 //! Results are concatenated in morsel order (morsels are ascending ranges of the
@@ -47,77 +35,12 @@ use crate::error::ExecError;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use wcoj_obs::{MorselTrace, WorkerTrace};
-use wcoj_storage::topology::{self, CpuTopology};
-use wcoj_storage::{KernelCalibration, KernelPolicy, TrieAccess, Value, WorkCounter};
+use wcoj_storage::{KernelPolicy, TrieAccess, Value, WorkCounter};
 
 /// Morsels handed out per worker thread: small enough that a skewed heavy-hitter
 /// value cannot leave threads idle, large enough that the scheduling atomics are
 /// noise.
 const MORSELS_PER_THREAD: usize = 8;
-
-/// The socket-aware morsel schedule: per-group contiguous morsel ranges with a
-/// claim cursor each. Morsel *boundaries* are fixed by the caller; this only
-/// decides which worker runs which morsel, so it cannot affect results.
-struct MorselSchedule {
-    /// `(start, end)` morsel-id range per socket group.
-    ranges: Vec<(usize, usize)>,
-    /// Per-group claim cursor (relative to the range start).
-    next: Vec<AtomicUsize>,
-    /// Socket-group index of each worker.
-    group_of: Vec<usize>,
-}
-
-impl MorselSchedule {
-    /// Partition `morsel_count` morsels into contiguous per-group ranges sized
-    /// proportionally to each group's worker count (remainders to the earliest
-    /// groups, matching how `chunks` distributes elements).
-    fn new(topo: &CpuTopology, threads: usize, morsel_count: usize) -> MorselSchedule {
-        let groups = topo.socket_groups(threads);
-        let mut group_of = vec![0usize; threads];
-        for (g, members) in groups.iter().enumerate() {
-            for &w in members {
-                group_of[w] = g;
-            }
-        }
-        let mut ranges = Vec::with_capacity(groups.len());
-        let mut start = 0usize;
-        let mut assigned_workers = 0usize;
-        for members in &groups {
-            assigned_workers += members.len();
-            // cumulative proportional split: group g ends at
-            // round(morsels * workers_so_far / threads)
-            let end = morsel_count * assigned_workers / threads;
-            ranges.push((start, end));
-            start = end;
-        }
-        if let Some(last) = ranges.last_mut() {
-            last.1 = morsel_count; // absorb rounding slack
-        }
-        let next = ranges.iter().map(|_| AtomicUsize::new(0)).collect();
-        MorselSchedule {
-            ranges,
-            next,
-            group_of,
-        }
-    }
-
-    /// Claim the next morsel for `worker`: its own socket group's range first,
-    /// then the other groups' leftovers (work stealing). The flag reports
-    /// whether the claim came from a foreign group — a steal — so the trace
-    /// can attribute scheduling behavior without touching the hot path.
-    fn claim(&self, worker: usize) -> Option<(usize, bool)> {
-        let own = self.group_of[worker];
-        let order = std::iter::once(own).chain((0..self.ranges.len()).filter(move |&g| g != own));
-        for g in order {
-            let (start, end) = self.ranges[g];
-            let i = self.next[g].fetch_add(1, Ordering::Relaxed);
-            if start + i < end {
-                return Some((start + i, g != own));
-            }
-        }
-        None
-    }
-}
 
 /// Run `engine` over `threads` workers, each holding a private cursor set produced
 /// by `make_cursors` (one cursor per atom, positioned at the root). Returns the
@@ -134,7 +57,6 @@ pub(crate) fn morsel_join<C, F>(
     participants: &[Vec<usize>],
     threads: usize,
     policy: KernelPolicy,
-    cal: &KernelCalibration,
     counter: &WorkCounter,
     token: Option<&CancelToken>,
     trace: Option<&TraceCtx>,
@@ -152,14 +74,10 @@ where
     // the main counter — the same charge serial execution makes.
     let extensions = {
         let mut driver_cursors = make_cursors();
-        for c in driver_cursors.iter_mut() {
-            c.set_seek_calibration(cal.linear_seek_max);
-        }
         first_extension_set(
             &mut driver_cursors,
             &participants[0],
             policy,
-            cal,
             counter,
             levels,
         )
@@ -179,9 +97,8 @@ where
         .div_ceil(threads * MORSELS_PER_THREAD)
         .max(1);
     let morsels: Vec<&[Value]> = extensions.chunks(morsel_len).collect();
-    let topo = CpuTopology::detect();
-    let pin_plan = topo.pin_plan(threads);
-    let schedule = MorselSchedule::new(topo, threads, morsels.len());
+    // the next unclaimed morsel id, shared by every worker
+    let next = AtomicUsize::new(0);
     // (morsel id, flat rows) pairs plus one counter per worker, deposited at
     // shutdown
     let results: Mutex<Vec<(usize, Vec<Value>)>> = Mutex::new(Vec::with_capacity(morsels.len()));
@@ -192,32 +109,29 @@ where
 
     std::thread::scope(|scope| {
         for w in 0..threads {
-            let pin_plan = &pin_plan;
-            let schedule = &schedule;
+            let next = &next;
             let make_cursors = &make_cursors;
             let morsels = &morsels;
             let results = &results;
             let worker_counters = &worker_counters;
             let worker_traces = &worker_traces;
             scope.spawn(move || {
-                let pinned = topology::pin_current_thread(pin_plan[w]);
                 let local = WorkCounter::new();
                 let mut cursors = make_cursors();
-                for c in cursors.iter_mut() {
-                    c.set_seek_calibration(cal.linear_seek_max);
-                }
                 let mut opened = false;
                 let mut claimed = 0u64;
-                let mut stolen = 0u64;
                 let mut produced: Vec<(usize, Vec<Value>)> = Vec::new();
-                while let Some((m, stole)) = schedule.claim(w) {
+                loop {
+                    let m = next.fetch_add(1, Ordering::Relaxed);
+                    if m >= morsels.len() {
+                        break;
+                    }
                     // cooperative cancellation: stop claiming once the token
                     // fires; the partial output is discarded by the caller
                     if token.is_some_and(|t| t.is_canceled()) {
                         break;
                     }
                     claimed += 1;
-                    stolen += stole as u64;
                     if !opened {
                         // lazily open the level-0 participants: workers that never
                         // claim a morsel touch nothing
@@ -234,7 +148,6 @@ where
                         participants,
                         morsels[m],
                         policy,
-                        cal,
                         &local,
                         levels,
                         &mut rows,
@@ -244,14 +157,10 @@ where
                 results.lock().expect("result sink").extend(produced);
                 worker_counters.lock().expect("counter sink").push(local);
                 if trace.is_some() {
-                    worker_traces.lock().expect("trace sink").push((
-                        w,
-                        WorkerTrace {
-                            claimed,
-                            stolen,
-                            pin: pinned.then_some(pin_plan[w]),
-                        },
-                    ));
+                    worker_traces
+                        .lock()
+                        .expect("trace sink")
+                        .push((w, WorkerTrace { claimed }));
                 }
             });
         }
@@ -308,7 +217,6 @@ mod tests {
             &mut cursors,
             &participants,
             KernelPolicy::Adaptive,
-            &KernelCalibration::fixed(),
             &serial_counter,
         );
         assert!(!serial.is_empty(), "fixture should produce triangles");
@@ -321,7 +229,6 @@ mod tests {
                 &participants,
                 threads,
                 KernelPolicy::Adaptive,
-                &KernelCalibration::fixed(),
                 &parallel_counter,
                 None,
                 None,
@@ -350,7 +257,6 @@ mod tests {
             &[vec![0, 1], vec![0], vec![1]],
             4,
             KernelPolicy::Adaptive,
-            &KernelCalibration::fixed(),
             &w,
             None,
             None,

@@ -11,7 +11,7 @@
 //! lives in a single `#[test]` because the dispatch level is process-global:
 //! this file must not grow concurrent tests that execute queries.
 
-use wcoj_core::exec::{execute_opts_with_order, Engine, ExecOptions, KernelCalibration};
+use wcoj_core::exec::{execute_opts_with_order, Engine, ExecOptions};
 use wcoj_core::planner::agm_variable_order;
 use wcoj_storage::simd::{self, SimdLevel};
 use wcoj_workloads::differential_suite;
@@ -28,11 +28,7 @@ fn simd_dispatch_is_bit_identical_to_scalar_everywhere() {
         let order = agm_variable_order(&w.query, &w.db).expect("planner");
         for engine in [Engine::GenericJoin, Engine::Leapfrog] {
             for threads in [1usize, 4] {
-                // fixed calibration: parity must not depend on what the
-                // host probe happened to measure
-                let opts = ExecOptions::new(engine)
-                    .with_threads(threads)
-                    .with_calibration(KernelCalibration::fixed());
+                let opts = ExecOptions::new(engine).with_threads(threads);
 
                 simd::force_active_level(SimdLevel::Scalar);
                 let scalar =

@@ -69,10 +69,6 @@ pub struct AtomTrace {
 pub struct WorkerTrace {
     /// Morsels this worker claimed in total.
     pub claimed: u64,
-    /// Of those, morsels stolen from another socket group.
-    pub stolen: u64,
-    /// CPU the worker was pinned to, if pinning was active.
-    pub pin: Option<usize>,
 }
 
 /// Morsel-level parallelism summary.
@@ -141,10 +137,9 @@ impl QueryTrace {
         }
         if let Some(m) = &mut self.morsels {
             // morsel count and worker count are deterministic; who claimed
-            // or stole what is not
+            // what is not
             for w in &mut m.workers {
                 w.claimed = 0;
-                w.stolen = 0;
             }
         }
     }
@@ -219,12 +214,7 @@ impl QueryTrace {
                     if i > 0 {
                         out.push_str(", ");
                     }
-                    out.push_str(&format!(
-                        "{{\"claimed\": {}, \"stolen\": {}, \"pin\": {}}}",
-                        w.claimed,
-                        w.stolen,
-                        w.pin.map_or("null".to_string(), |p| p.to_string())
-                    ));
+                    out.push_str(&format!("{{\"claimed\": {}}}", w.claimed));
                 }
                 out.push_str("]}, ");
             }
@@ -304,14 +294,11 @@ impl QueryTrace {
                 m.workers.len()
             ));
             for (i, w) in m.workers.iter().enumerate() {
-                let pin = w.pin.map_or("-".to_string(), |p| format!("cpu{p}"));
                 out.push_str(&format!(
-                    "{} w{}: {} claimed ({} stolen) pin={}",
+                    "{} w{}: {} claimed",
                     if i == 0 { " — " } else { "; " },
                     i,
-                    w.claimed,
-                    w.stolen,
-                    pin
+                    w.claimed
                 ));
             }
             out.push('\n');
@@ -479,11 +466,7 @@ mod tests {
             }],
             morsels: Some(MorselTrace {
                 morsels: 32,
-                workers: vec![WorkerTrace {
-                    claimed: 9,
-                    stolen: 1,
-                    pin: Some(0),
-                }],
+                workers: vec![WorkerTrace { claimed: 9 }],
             }),
             work: vec![("total_work".into(), 4567), ("output_tuples".into(), 2783)],
             cache_hits: 2,

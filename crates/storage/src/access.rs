@@ -103,14 +103,6 @@ pub trait TrieAccess {
     /// call this once per cursor at the end of a run and absorb the result into
     /// their [`crate::WorkCounter`].
     fn take_work(&mut self) -> CursorWork;
-
-    /// Set the linear-scan-vs-gallop cutoff used by `seek` and `advance_to`
-    /// (see [`crate::tune::KernelCalibration::linear_seek_max`]). Engines call
-    /// this once after construction; the default implementation ignores it, so
-    /// cursors without an adaptive seek need not care. Changing the cutoff
-    /// changes which tally (comparisons vs probes) a seek records — recorded
-    /// baselines pin the fixed calibration for machine-independent counters.
-    fn set_seek_calibration(&mut self, _linear_max: usize) {}
 }
 
 impl TrieAccess for TrieCursor<'_> {
@@ -160,10 +152,6 @@ impl TrieAccess for TrieCursor<'_> {
 
     fn take_work(&mut self) -> CursorWork {
         TrieCursor::take_work(self)
-    }
-
-    fn set_seek_calibration(&mut self, linear_max: usize) {
-        TrieCursor::set_seek_calibration(self, linear_max)
     }
 }
 
@@ -252,10 +240,6 @@ impl TrieAccess for CursorKind<'_> {
 
     fn take_work(&mut self) -> CursorWork {
         dispatch!(self, c => c.take_work())
-    }
-
-    fn set_seek_calibration(&mut self, linear_max: usize) {
-        dispatch!(self, c => TrieAccess::set_seek_calibration(c, linear_max))
     }
 }
 

@@ -1280,8 +1280,6 @@ impl<'a> DeltaAccess<'a> {
             memo: vec![None; self.arity],
             prefix_buf: Vec::with_capacity(self.arity),
             work: CursorWork::default(),
-            simd: crate::simd::active_level(),
-            seek_linear_max: crate::ops::LINEAR_SEEK_MAX,
         }
     }
 }
@@ -1481,8 +1479,6 @@ pub struct DeltaCursor<'a> {
     /// case — never allocate.
     prefix_buf: Vec<Value>,
     work: CursorWork,
-    simd: crate::simd::SimdLevel,
-    seek_linear_max: usize,
 }
 
 impl DeltaCursor<'_> {
@@ -1647,14 +1643,7 @@ impl crate::access::TrieAccess for DeltaCursor<'_> {
         if f.pos >= values.len() {
             return false;
         }
-        let (pos, probes, cmps) = crate::ops::seek_lub_cal(
-            self.simd,
-            values,
-            f.pos,
-            values.len(),
-            target,
-            self.seek_linear_max,
-        );
+        let (pos, probes, cmps) = crate::ops::seek_lub(values, f.pos, values.len(), target);
         self.work.probes += probes;
         self.work.comparisons += cmps;
         f.pos = pos;
@@ -1684,20 +1673,9 @@ impl crate::access::TrieAccess for DeltaCursor<'_> {
         if values[f.pos] >= target {
             return values[f.pos] == target;
         }
-        let pos = crate::ops::advance_lub(
-            self.simd,
-            values,
-            f.pos,
-            values.len(),
-            target,
-            self.seek_linear_max,
-        );
+        let (pos, _, _) = crate::ops::seek_lub(values, f.pos, values.len(), target);
         f.pos = pos;
         pos < values.len() && values[pos] == target
-    }
-
-    fn set_seek_calibration(&mut self, linear_max: usize) {
-        self.seek_linear_max = linear_max;
     }
 
     fn remaining(&self) -> &[Value] {

@@ -43,7 +43,6 @@
 
 use crate::simd::{self, SimdLevel};
 use crate::stats::WorkCounter;
-use crate::tune::KernelCalibration;
 use crate::Value;
 
 /// Which intersection kernel the execution layer should run. Carried through
@@ -98,6 +97,42 @@ pub const BITMAP_MAX_SPAN: u64 = 4096;
 /// `span/64` word walk stays proportional to the smallest set.
 pub const BITMAP_SPAN_PER_ELEMENT: u64 = 16;
 
+/// The kernel-selection thresholds above plus the cursors' linear-seek cutoff,
+/// as one value. The engines read the constants directly; this struct exists
+/// only so the end-to-end benchmark (`svcbench`) can print them in its host
+/// report.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KernelCalibration {
+    /// [`MERGE_MAX_RATIO`].
+    pub merge_max_ratio: usize,
+    /// [`BITMAP_MAX_SPAN`].
+    pub bitmap_max_span: u64,
+    /// [`BITMAP_SPAN_PER_ELEMENT`].
+    pub bitmap_span_per_element: u64,
+    /// Seek windows at or below this length use a linear scan instead of galloping.
+    pub linear_seek_max: usize,
+}
+
+impl KernelCalibration {
+    /// The thresholds every query runs with: the module constants.
+    pub const fn host() -> KernelCalibration {
+        KernelCalibration {
+            merge_max_ratio: MERGE_MAX_RATIO,
+            bitmap_max_span: BITMAP_MAX_SPAN,
+            bitmap_span_per_element: BITMAP_SPAN_PER_ELEMENT,
+            linear_seek_max: crate::ops::LINEAR_SEEK_MAX,
+        }
+    }
+
+    /// Serialize as a single-line JSON object.
+    pub fn to_json(&self) -> String {
+        format!(
+            "{{\"merge_max_ratio\":{},\"bitmap_max_span\":{},\"bitmap_span_per_element\":{},\"linear_seek_max\":{}}}",
+            self.merge_max_ratio, self.bitmap_max_span, self.bitmap_span_per_element, self.linear_seek_max
+        )
+    }
+}
+
 /// Lists at or below this length skip the heuristic and merge directly — the
 /// kernel-choice arithmetic would cost more than the intersection.
 const TINY_LIST: usize = 4;
@@ -109,32 +144,21 @@ const TINY_LIST: usize = 4;
 pub const MAX_INLINE_LISTS: usize = 16;
 
 /// Pick the kernel for `lists` (all non-empty) whose common span is `[lo, hi]`.
-/// Exposed so tests and experiments can audit the heuristic directly. Uses the
-/// fixed thresholds; [`choose_kernel_with`] takes a [`KernelCalibration`].
+/// Exposed so tests and experiments can audit the heuristic directly.
 pub fn choose_kernel(lists: &[&[Value]], lo: Value, hi: Value) -> KernelKind {
-    choose_kernel_with(&KernelCalibration::fixed(), lists, lo, hi)
-}
-
-/// [`choose_kernel`] with explicit (host-calibrated or pinned) thresholds.
-pub fn choose_kernel_with(
-    cal: &KernelCalibration,
-    lists: &[&[Value]],
-    lo: Value,
-    hi: Value,
-) -> KernelKind {
     let m = lists.iter().map(|l| l.len()).min().unwrap_or(0);
     let max_len = lists.iter().map(|l| l.len()).max().unwrap_or(0);
     if m <= TINY_LIST {
-        return if max_len <= cal.merge_max_ratio * m.max(1) {
+        return if max_len <= MERGE_MAX_RATIO * m.max(1) {
             KernelKind::Merge
         } else {
             KernelKind::Gallop
         };
     }
     let span = hi - lo + 1;
-    if span <= cal.bitmap_max_span && span <= cal.bitmap_span_per_element * m as u64 {
+    if span <= BITMAP_MAX_SPAN && span <= BITMAP_SPAN_PER_ELEMENT * m as u64 {
         KernelKind::Bitmap
-    } else if max_len <= cal.merge_max_ratio * m {
+    } else if max_len <= MERGE_MAX_RATIO * m {
         KernelKind::Merge
     } else {
         KernelKind::Gallop
@@ -152,57 +176,30 @@ pub fn intersect(lists: &[&[Value]], policy: KernelPolicy, counter: &WorkCounter
 
 /// Intersect `lists` into `out` (cleared first) under `policy`, recording work
 /// and the kernel choice into `counter`. All kernels produce identical output:
-/// the ascending sorted intersection. Runs at the detected SIMD level with the
-/// fixed thresholds; the SIMD level never changes output or counters. Returns
-/// the kernel that ran (`None` when a short-circuit skipped the kernel layer).
+/// the ascending sorted intersection. Runs at the detected SIMD level; the SIMD
+/// level never changes output or counters. Returns the kernel that ran (`None`
+/// when a short-circuit skipped the kernel layer).
 pub fn intersect_into(
     out: &mut Vec<Value>,
     lists: &[&[Value]],
     policy: KernelPolicy,
     counter: &WorkCounter,
 ) -> Option<KernelKind> {
-    intersect_into_cal(
-        simd::active_level(),
-        out,
-        lists,
-        policy,
-        &KernelCalibration::fixed(),
-        counter,
-    )
+    intersect_into_at(simd::active_level(), out, lists, policy, counter)
 }
 
-/// [`intersect_into`] at an explicit SIMD level (fixed thresholds) — the entry
-/// point differential tests and the tuning probe use to pin the code path.
+/// [`intersect_into`] at an explicit SIMD level — the entry point the execution
+/// layer calls in its hot loop (it resolves the level once per query) and
+/// differential tests use to pin the code path. Returns the kernel that ran,
+/// so tracing can attribute the choice per level; `None` means a short-circuit
+/// (empty operand, single list, disjoint spans) answered before any kernel
+/// dispatched. The return value is derived from state the function computes
+/// anyway, so ignoring it costs nothing.
 pub fn intersect_into_at(
     level: SimdLevel,
     out: &mut Vec<Value>,
     lists: &[&[Value]],
     policy: KernelPolicy,
-    counter: &WorkCounter,
-) -> Option<KernelKind> {
-    intersect_into_cal(
-        level,
-        out,
-        lists,
-        policy,
-        &KernelCalibration::fixed(),
-        counter,
-    )
-}
-
-/// The full-control intersection entry point: explicit SIMD level and policy
-/// thresholds. The execution layer resolves both once per query (from
-/// `ExecOptions` / the host calibration) and calls this in its hot loop.
-/// Returns the kernel that ran, so tracing can attribute the choice per level;
-/// `None` means a short-circuit (empty operand, single list, disjoint spans)
-/// answered before any kernel dispatched. The return value is derived from
-/// state the function computes anyway, so ignoring it costs nothing.
-pub fn intersect_into_cal(
-    level: SimdLevel,
-    out: &mut Vec<Value>,
-    lists: &[&[Value]],
-    policy: KernelPolicy,
-    cal: &KernelCalibration,
     counter: &WorkCounter,
 ) -> Option<KernelKind> {
     out.clear();
@@ -227,7 +224,7 @@ pub fn intersect_into_cal(
         return None;
     }
     let kind = match policy {
-        KernelPolicy::Adaptive => choose_kernel_with(cal, lists, lo, hi),
+        KernelPolicy::Adaptive => choose_kernel(lists, lo, hi),
         KernelPolicy::Merge => KernelKind::Merge,
         KernelPolicy::Gallop => KernelKind::Gallop,
         KernelPolicy::Bitmap => {
@@ -245,7 +242,7 @@ pub fn intersect_into_cal(
     counter.add_kernel(kind);
     match kind {
         KernelKind::Merge => merge_intersect(level, out, lists, counter),
-        KernelKind::Gallop => gallop_intersect(level, out, lists, counter),
+        KernelKind::Gallop => gallop_intersect(out, lists, counter),
         KernelKind::Bitmap => bitmap_intersect(out, lists, lo, hi, counter),
     }
     Some(kind)
@@ -393,12 +390,7 @@ fn retain_common(out: &mut Vec<Value>, b: &[Value]) -> u64 {
 
 /// Smallest-driven galloping intersection: enumerate the smallest list, gallop in
 /// the others with monotone frontiers, early-exiting when any frontier runs out.
-fn gallop_intersect(
-    level: SimdLevel,
-    out: &mut Vec<Value>,
-    lists: &[&[Value]],
-    counter: &WorkCounter,
-) {
+fn gallop_intersect(out: &mut Vec<Value>, lists: &[&[Value]], counter: &WorkCounter) {
     debug_assert!(lists.len() >= 2);
     let smallest = lists
         .iter()
@@ -422,7 +414,7 @@ fn gallop_intersect(
             if i == smallest {
                 continue;
             }
-            let pos = crate::ops::gallop_at(level, list, positions[i], v, counter);
+            let pos = crate::ops::gallop(list, positions[i], v, counter);
             positions[i] = pos;
             if pos >= list.len() {
                 break 'outer; // this list is exhausted: nothing further matches
@@ -691,5 +683,39 @@ mod tests {
         assert_eq!(out, vec![1, 2, 3]);
         intersect_into(&mut out, &[], KernelPolicy::Adaptive, &w);
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn calibration_reports_the_constants() {
+        // the thresholds every recorded baseline was measured with
+        let cal = KernelCalibration::host();
+        assert_eq!(
+            cal,
+            KernelCalibration {
+                merge_max_ratio: 8,
+                bitmap_max_span: 4096,
+                bitmap_span_per_element: 16,
+                linear_seek_max: 16,
+            }
+        );
+    }
+
+    #[test]
+    fn calibration_json_lists_every_field() {
+        // distinct values, so a field printed under the wrong key shows
+        let cal = KernelCalibration {
+            merge_max_ratio: 32,
+            bitmap_max_span: 2048,
+            bitmap_span_per_element: 8,
+            linear_seek_max: 64,
+        };
+        assert_eq!(
+            cal.to_json(),
+            "{\"merge_max_ratio\":32,\"bitmap_max_span\":2048,\"bitmap_span_per_element\":8,\"linear_seek_max\":64}"
+        );
+        assert_eq!(
+            KernelCalibration::host().to_json(),
+            "{\"merge_max_ratio\":8,\"bitmap_max_span\":4096,\"bitmap_span_per_element\":16,\"linear_seek_max\":16}"
+        );
     }
 }

@@ -58,14 +58,12 @@
 //!   comparisons, probes, and intermediate tuples so that tests and benchmarks can
 //!   check the *work* bounds the paper proves, not just wall-clock time. Parallel
 //!   workers' counters merge associatively;
-//! * [`simd`] / [`tune`] / [`topology`] — the hardware-calibration layer:
-//!   runtime-dispatched SIMD intersection and seek primitives (AVX2 / NEON with a
-//!   scalar fallback, selected once at startup), a startup micro-benchmark probe
-//!   producing a [`tune::KernelCalibration`] of kernel-selection thresholds, and a
-//!   `/sys`-based CPU-topology probe for socket/SMT-aware worker placement. All
-//!   SIMD paths are bit-identical to scalar in both output **and** recorded work:
-//!   the counters replay the scalar algorithm's tally arithmetically from the
-//!   landing position, so recorded work baselines stay machine-independent.
+//! * [`simd`] — the runtime-dispatched SIMD merge intersection (AVX2 / NEON
+//!   with a scalar fallback, selected once at startup; `WCOJ_FORCE_SCALAR=1`
+//!   pins the fallback). It is bit-identical to scalar in both output **and**
+//!   recorded work: the merge kernel replays the scalar loop's comparison tally
+//!   in closed form. Kernel-selection thresholds and the seek cutoff are
+//!   constants, so recorded work baselines are machine-independent.
 //!
 //! # Quick example
 //!
@@ -83,9 +81,9 @@
 //! assert_eq!(p.len(), 2); // {2, 3}
 //! ```
 
-// Unsafe is denied crate-wide and allowed back in exactly two leaf modules:
+// Unsafe is denied crate-wide and allowed back in exactly one leaf module:
 // `simd` (target_feature intrinsics, each `unsafe fn` guarded by runtime
-// feature detection) and `topology` (one raw `sched_setaffinity` syscall).
+// feature detection).
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -100,9 +98,7 @@ pub mod relation;
 pub mod schema;
 pub mod simd;
 pub mod stats;
-pub mod topology;
 pub mod trie;
-pub mod tune;
 pub mod typed;
 pub mod wal;
 
@@ -111,14 +107,13 @@ pub use cache::{next_stamp, AccessCache, CacheKey, CacheKind, CacheStats, Cached
 pub use delta::{DeltaAccess, DeltaCursor, DeltaRelation, DeltaView};
 pub use dictionary::{DictReader, Dictionary};
 pub use error::StorageError;
-pub use kernels::{KernelKind, KernelPolicy};
+pub use kernels::{KernelCalibration, KernelKind, KernelPolicy};
 pub use ops::{hash_join, intersect_sorted, merge_join, nested_loop_join};
 pub use relation::{Relation, Tuple};
 pub use schema::{AttrType, Schema};
 pub use simd::SimdLevel;
 pub use stats::{CursorWork, WorkCounter};
 pub use trie::{Trie, TrieCursor};
-pub use tune::KernelCalibration;
 pub use typed::{encode_column, TypedRow, TypedRows, TypedValue};
 pub use wal::segmented::{
     gc_checkpoint, recover_dir, segment_bytes_from_env, write_checkpoint, Checkpoint, DirRecovery,

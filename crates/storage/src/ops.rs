@@ -65,145 +65,39 @@ pub(crate) fn gallop_lub(
 
 /// Sibling groups at or below this length are sought by a branch-predictable
 /// linear scan instead of galloping: for tiny groups the scan's sequential loads
-/// beat the galloping search's data-dependent branches. This is the *fixed*
-/// default; the calibrated value lives in [`crate::tune::KernelCalibration`].
+/// beat the galloping search's data-dependent branches.
 pub(crate) const LINEAR_SEEK_MAX: usize = 16;
 
-/// Adaptive least-upper-bound seek with an explicit SIMD level and calibrated
-/// linear-scan cutoff: linear scan for windows at or under `linear_max`
-/// (recorded as comparisons), galloping search otherwise (recorded as probes).
-/// Returns `(position, probes, comparisons)` — the seek path shared by every
-/// cursor, mirroring the kernel layer's adaptivity at the single-seek grain.
-///
-/// The counted work is a pure function of `(start, end, position, cutoff)` —
-/// the linear path charges `1 + (position - start)` comparisons and the gallop
-/// path charges the [`gallop_lub`] probe sequence replayed arithmetically — so
-/// the SIMD level changes wall-clock only, never the counters. The *cutoff*
-/// does change counters (it picks which tally a seek lands in), which is why
-/// recorded baselines pin the fixed calibration.
-pub(crate) fn seek_lub_cal(
-    level: crate::simd::SimdLevel,
+/// First index in `values[start..end]` whose value is `>= target`, by a forward
+/// scan — the short-window half of every seek.
+#[inline]
+fn linear_lub(values: &[Value], start: usize, end: usize, target: Value) -> usize {
+    let mut i = start;
+    while i < end && values[i] < target {
+        i += 1;
+    }
+    i
+}
+
+/// Adaptive least-upper-bound seek: linear scan for windows of at most
+/// [`LINEAR_SEEK_MAX`] values (recorded as comparisons), galloping search
+/// otherwise (recorded as probes). Returns `(position, probes, comparisons)` —
+/// the seek path shared by every cursor, mirroring the kernel layer's
+/// adaptivity at the single-seek grain.
+pub(crate) fn seek_lub(
     values: &[Value],
     start: usize,
     end: usize,
     target: Value,
-    linear_max: usize,
 ) -> (usize, u64, u64) {
     debug_assert!(end <= values.len());
-    if end - start <= linear_max {
-        let pos = crate::simd::linear_lub(level, values, start, end, target);
+    if end - start <= LINEAR_SEEK_MAX {
+        let pos = linear_lub(values, start, end, target);
         (pos, 0, 1 + (pos - start) as u64)
     } else {
-        match level {
-            crate::simd::SimdLevel::Scalar => {
-                let (pos, probes) = gallop_lub(values, start, end, target);
-                (pos, probes, 0)
-            }
-            _ => {
-                let (pos, probes) = gallop_lub_at(level, values, start, end, target);
-                (pos, probes, 0)
-            }
-        }
+        let (pos, probes) = gallop_lub(values, start, end, target);
+        (pos, probes, 0)
     }
-}
-
-/// Uncounted least-upper-bound search in `values[start..end]` — the repositioning
-/// path (`advance_to`) which by contract records no work. Linear scan below the
-/// calibrated cutoff (previously this always galloped, even for a 2-element
-/// window), galloping search above it.
-pub(crate) fn advance_lub(
-    level: crate::simd::SimdLevel,
-    values: &[Value],
-    start: usize,
-    end: usize,
-    target: Value,
-    linear_max: usize,
-) -> usize {
-    debug_assert!(end <= values.len());
-    if end - start <= linear_max {
-        crate::simd::linear_lub(level, values, start, end, target)
-    } else {
-        find_lub(level, values, start, end, target)
-    }
-}
-
-/// Position-only least-upper-bound search: the same doubling phase as
-/// [`gallop_lub`], but the binary phase hands its last iterations to the SIMD
-/// forward scan once the window is small — fewer data-dependent branches, same
-/// position.
-fn find_lub(
-    level: crate::simd::SimdLevel,
-    values: &[Value],
-    start: usize,
-    end: usize,
-    target: Value,
-) -> usize {
-    const SIMD_TAIL: usize = 64;
-    let mut step = 1usize;
-    let mut lo = start;
-    while lo + step < end && values[lo + step] < target {
-        lo += step;
-        step *= 2;
-    }
-    let mut h = end.min(lo + step + 1);
-    let mut l = lo;
-    while h - l > SIMD_TAIL {
-        let m = (l + h) / 2;
-        if values[m] < target {
-            l = m + 1;
-        } else {
-            h = m;
-        }
-    }
-    crate::simd::linear_lub(level, values, l, h, target)
-}
-
-/// [`gallop_lub`] with a SIMD binary tail and an identical probe tally.
-///
-/// The doubling phase and the wide binary iterations run (and count) exactly
-/// as in [`gallop_lub`]; once the window shrinks to one vector-scan's worth,
-/// the landing position comes from [`crate::simd::linear_lub`] and the probes
-/// the remaining binary iterations *would* have recorded are replayed with
-/// pure index arithmetic — inside `[l, h)` the position is the partition
-/// point, so `values[m] < target ⟺ m < position`.
-fn gallop_lub_at(
-    level: crate::simd::SimdLevel,
-    values: &[Value],
-    start: usize,
-    end: usize,
-    target: Value,
-) -> (usize, u64) {
-    const SIMD_TAIL: usize = 64;
-    let mut step = 1usize;
-    let mut lo = start;
-    let mut probes = 1u64;
-    while lo + step < end && values[lo + step] < target {
-        lo += step;
-        step *= 2;
-        probes += 1;
-    }
-    let mut h = end.min(lo + step + 1);
-    let mut l = lo;
-    while h - l > SIMD_TAIL {
-        let m = (l + h) / 2;
-        probes += 1;
-        if values[m] < target {
-            l = m + 1;
-        } else {
-            h = m;
-        }
-    }
-    let pos = crate::simd::linear_lub(level, values, l, h, target);
-    while l < h {
-        let m = (l + h) / 2;
-        probes += 1;
-        if m < pos {
-            l = m + 1;
-        } else {
-            h = m;
-        }
-    }
-    (pos, probes)
 }
 
 /// Find the first index `>= start` with `list[index] >= target` using galloping search.
@@ -233,59 +127,6 @@ pub(crate) fn gallop(list: &[Value], start: usize, target: Value, counter: &Work
     }
     counter.add_probes(probes);
     l
-}
-
-/// [`gallop`] at an explicit SIMD level: the doubling phase and wide binary
-/// iterations run (and count) exactly as in [`gallop`]; the last vector-scan's
-/// worth of binary search is done by [`crate::simd::linear_lub`] with the
-/// skipped iterations' probes replayed arithmetically, so the tally is
-/// bit-identical to the scalar path.
-pub(crate) fn gallop_at(
-    level: crate::simd::SimdLevel,
-    list: &[Value],
-    start: usize,
-    target: Value,
-    counter: &WorkCounter,
-) -> usize {
-    if let crate::simd::SimdLevel::Scalar = level {
-        return gallop(list, start, target, counter);
-    }
-    let mut lo = start;
-    if lo >= list.len() || list[lo] >= target {
-        counter.add_probes(1);
-        return lo;
-    }
-    const SIMD_TAIL: usize = 64;
-    let mut step = 1usize;
-    let mut probes = 1u64;
-    while lo + step < list.len() && list[lo + step] < target {
-        lo += step;
-        step *= 2;
-        probes += 1;
-    }
-    let mut hi = (lo + step + 1).min(list.len());
-    let mut l = lo + 1;
-    while hi - l > SIMD_TAIL {
-        let m = (l + hi) / 2;
-        probes += 1;
-        if list[m] < target {
-            l = m + 1;
-        } else {
-            hi = m;
-        }
-    }
-    let pos = crate::simd::linear_lub(level, list, l, hi, target);
-    while l < hi {
-        let m = (l + hi) / 2;
-        probes += 1;
-        if m < pos {
-            l = m + 1;
-        } else {
-            hi = m;
-        }
-    }
-    counter.add_probes(probes);
-    pos
 }
 
 /// Positions of the common attributes, the output attribute sources, and the output
@@ -548,6 +389,25 @@ mod tests {
         assert_eq!(gallop(&list, 0, 11, &w), 5);
         assert_eq!(gallop(&list, 3, 9, &w), 4);
         assert_eq!(gallop(&list, 5, 1, &w), 5);
+    }
+
+    #[test]
+    fn seek_lub_matches_partition_point() {
+        // windows on both sides of the linear-scan cutoff
+        for len in [0usize, 1, 3, LINEAR_SEEK_MAX, LINEAR_SEEK_MAX + 1, 100] {
+            let v: Vec<Value> = (0..len as u64).map(|i| i * 3 + 1).collect();
+            for target in [0, 1, 2, 4, 3 * len as u64 / 2, 3 * len as u64, u64::MAX] {
+                let expected = v.partition_point(|&x| x < target);
+                let (pos, probes, cmps) = seek_lub(&v, 0, v.len(), target);
+                assert_eq!(pos, expected, "len {len} target {target}");
+                if len <= LINEAR_SEEK_MAX {
+                    assert_eq!((probes, cmps), (0, 1 + pos as u64));
+                } else {
+                    assert_eq!(cmps, 0);
+                    assert_eq!(probes, gallop_lub(&v, 0, v.len(), target).1);
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! Explicit-SIMD inner loops for the intersection kernels and cursor seeks.
+//! Explicit-SIMD inner loop for the merge intersection kernel.
 //!
 //! Everything here is **observationally identical** to the scalar code it
-//! replaces: same output values in the same order, and — because the callers
-//! charge counted work through closed-form replays (see `kernels::merge2_cost`
-//! and the seek replays in `ops`) — identical deterministic work counters. The
+//! replaces: same output values in the same order, and — because the caller
+//! charges counted work through a closed-form replay (see
+//! `kernels::merge2_cost`) — identical deterministic work counters. The
 //! SIMD level is detected once per process and only changes *wall-clock*, never
 //! results, so `BENCH_joins.json` work ratios stay exactly 1.000.
 //!
@@ -17,8 +17,8 @@
 //! process-wide dispatch between runs with [`force_active_level`], instead of
 //! mutating the environment.
 
-// The only unsafe in the storage crate (with the `topology` pinning syscall):
-// `#[target_feature]` intrinsics, each call guarded by runtime detection.
+// The only unsafe in the storage crate: `#[target_feature]` intrinsics, each
+// call guarded by runtime detection.
 #![allow(unsafe_code)]
 
 use crate::Value;
@@ -84,7 +84,7 @@ pub fn active_level() -> SimdLevel {
 }
 
 /// Re-point process-wide dispatch at `level` — the in-process A/B hook used by
-/// the SIMD-parity tests and the E7 calibration bench to compare scalar and
+/// the SIMD-parity tests and the E7 SIMD bench to compare scalar and
 /// vector paths without respawning under `WCOJ_FORCE_SCALAR=1`. Panics if the
 /// host cannot execute `level`. Not for concurrent use with live queries: flip
 /// it only between runs.
@@ -228,68 +228,6 @@ unsafe fn merge2_neon(out: &mut Vec<Value>, a: &[Value], b: &[Value]) {
     merge2_tail(out, a, b, i, j);
 }
 
-/// First index in `values[start..end]` whose value is `>= target` (the partition
-/// point), found with SIMD compare+movemask over 4-lane blocks. Positions and
-/// ordering match `slice::partition_point` exactly; only the instruction mix
-/// differs. Used by the seek fast paths on short windows, where a predictable
-/// forward scan beats a branchy binary search.
-///
-/// Windows under one vector's width stay on the inlinable scalar loop: a
-/// `#[target_feature]` function can't inline into its caller, and for 1–3
-/// elements the outlined call costs more than the scan it replaces.
-#[inline]
-pub fn linear_lub(
-    level: SimdLevel,
-    values: &[Value],
-    start: usize,
-    end: usize,
-    target: Value,
-) -> usize {
-    debug_assert!(start <= end && end <= values.len());
-    if end - start < 17 {
-        return linear_lub_scalar(values, start, end, target);
-    }
-    match level {
-        SimdLevel::Scalar => linear_lub_scalar(values, start, end, target),
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { linear_lub_avx2(values, start, end, target) },
-        #[allow(unreachable_patterns)]
-        _ => linear_lub_scalar(values, start, end, target),
-    }
-}
-
-#[inline]
-fn linear_lub_scalar(values: &[Value], start: usize, end: usize, target: Value) -> usize {
-    let mut i = start;
-    while i < end && values[i] < target {
-        i += 1;
-    }
-    i
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn linear_lub_avx2(values: &[Value], start: usize, end: usize, target: Value) -> usize {
-    use core::arch::x86_64::*;
-    // unsigned `< target` via sign-bit flip + signed greater-than:
-    // target > v  <=>  (target ^ MSB) >s (v ^ MSB)
-    let sign = _mm256_set1_epi64x(i64::MIN);
-    let vt = _mm256_xor_si256(_mm256_set1_epi64x(target as i64), sign);
-    let mut i = start;
-    while i + 4 <= end {
-        // SAFETY: i+4 <= end <= values.len() bounds the load.
-        let v = unsafe { _mm256_loadu_si256(values.as_ptr().add(i) as *const __m256i) };
-        let lt = _mm256_cmpgt_epi64(vt, _mm256_xor_si256(v, sign));
-        let mask = _mm256_movemask_pd(_mm256_castsi256_pd(lt)) as u32;
-        if mask != 0b1111 {
-            // sorted input: the `< target` lanes form a prefix of ones
-            return i + mask.count_ones() as usize;
-        }
-        i += 4;
-    }
-    linear_lub_scalar(values, i, end, target)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -348,30 +286,6 @@ mod tests {
             let mut out = Vec::new();
             merge2_into(level, &mut out, &a, &b);
             assert_eq!(out, vec![1, u64::MAX], "{level:?}");
-        }
-    }
-
-    #[test]
-    fn linear_lub_matches_partition_point() {
-        let mut seed = 0xDEADBEEF;
-        for level in runnable_levels() {
-            for len in [0usize, 1, 3, 4, 5, 15, 16, 17, 64, 100] {
-                let v = sorted_unique(&mut seed, len, 1 << 40);
-                for _ in 0..16 {
-                    let target = xorshift(&mut seed) % (1 << 41);
-                    let expected = v.partition_point(|&x| x < target);
-                    assert_eq!(
-                        linear_lub(level, &v, 0, v.len(), target),
-                        expected,
-                        "{level:?} len {len} target {target}"
-                    );
-                }
-                // large targets land at the end; sign-flip must keep order
-                assert_eq!(
-                    linear_lub(level, &v, 0, v.len(), u64::MAX),
-                    v.partition_point(|&x| x < u64::MAX)
-                );
-            }
         }
     }
 
