@@ -119,7 +119,7 @@ fn main() {
         let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("../..")
             .join("BENCH_joins.json");
-        match wcoj_bench::report::write_bench_json(&path, "cargo bench -p wcoj-bench", &records) {
+        match wcoj_bench::report::write_bench_json(&path, &records) {
             Ok(()) => println!("wrote {} records to {}", records.len(), path.display()),
             Err(e) => eprintln!("could not write {}: {e}", path.display()),
         }

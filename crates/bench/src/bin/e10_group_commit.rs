@@ -5,9 +5,8 @@
 //!
 //! 1. **Durable ingest vs committers** — concurrent writers drive blind
 //!    batches through the group-commit coordinator; batches/s at 1–8
-//!    committers, coalescing window off and on. The solo row is the E9.1
-//!    baseline shape (one fsync per batch); the scaling above it is what the
-//!    shared fsync buys.
+//!    committers. The solo row is the E9.1 baseline shape (one fsync per
+//!    batch); the scaling above it is what the shared fsync buys.
 //! 2. **Recovery time vs history length** — logs of growing batch counts are
 //!    reopened with checkpoints enabled (tiny segments, checkpoint per
 //!    rotation) and disabled; checkpointed recovery replays only the tail and
@@ -17,20 +16,20 @@
 //!    partition keeps both warm (zero misses and re-merges after the first
 //!    alternation).
 //! 4. **Solo-writer latency** — the group path must not tax the uncontended
-//!    writer: solo apply latency with the coordinator (and the honest cost of
-//!    turning the coalescing window on for a solo writer).
+//!    writer: solo apply latency through the coordinator, every batch in a
+//!    group of its own.
 //!
 //! `--smoke` shrinks sizes for CI (correctness asserts stay on); the full run
 //! backs the numbers quoted in `EXPERIMENTS.md` and records `e10_*` rows into
 //! `BENCH_joins.json`.
 
-use std::time::{Duration, Instant};
-use wcoj_bench::report::{parse_bench_json, write_bench_json, BenchRecord};
+use std::time::Instant;
+use wcoj_bench::report::{record_rows, BenchRecord};
 use wcoj_core::exec::{execute_opts_with_order, ExecOptions};
 use wcoj_core::planner::agm_variable_order;
 use wcoj_query::query::examples;
 use wcoj_query::Database;
-use wcoj_service::{QueryService, ServiceConfig, WriteBatch};
+use wcoj_service::{MetricValue, QueryService, ServiceConfig, WriteBatch};
 use wcoj_storage::{DeltaRelation, Schema};
 use wcoj_workloads::{random_pairs, SplitMix64};
 
@@ -49,17 +48,28 @@ fn wal_dir(tag: &str) -> std::path::PathBuf {
     p
 }
 
+/// The service's group count and `wal.batches_per_fsync` histogram buckets,
+/// read from its registry; asserts `batches` committed and that the
+/// histogram totals the group count.
+fn group_stats(service: &QueryService, batches: u64) -> (u64, Vec<u64>) {
+    let snap = service.registry().snapshot();
+    assert_eq!(snap.counter_value("wal.batches_committed"), Some(batches));
+    let groups = snap
+        .counter_value("wal.group_commits")
+        .expect("group count");
+    let Some(MetricValue::Histogram { counts, count, .. }) = snap.get("wal.batches_per_fsync")
+    else {
+        panic!("wal.batches_per_fsync is not a histogram");
+    };
+    assert_eq!(*count, groups);
+    (groups, counts.clone())
+}
+
 /// `threads` committers push `per_thread` blind batches (`ops` inserts each)
 /// through one durable service; returns (batches/s, groups, histogram).
-fn ingest_rate(
-    tag: &str,
-    config: ServiceConfig,
-    threads: u64,
-    per_thread: u64,
-    ops: u64,
-) -> (f64, u64, [u64; 6]) {
+fn ingest_rate(tag: &str, threads: u64, per_thread: u64, ops: u64) -> (f64, u64, Vec<u64>) {
     let path = wal_dir(tag);
-    let (service, _) = QueryService::open(&path, edge_db(), config).unwrap();
+    let (service, _) = QueryService::open(&path, edge_db(), ServiceConfig::default()).unwrap();
     let t = Instant::now();
     std::thread::scope(|scope| {
         for thread in 0..threads {
@@ -78,19 +88,10 @@ fn ingest_rate(
         }
     });
     let secs = t.elapsed().as_secs_f64();
-    let stats = service.stats();
-    assert_eq!(stats.batches_committed, threads * per_thread);
-    assert_eq!(
-        stats.batches_per_fsync.iter().sum::<u64>(),
-        stats.group_commits
-    );
+    let (groups, hist) = group_stats(&service, threads * per_thread);
     drop(service);
     std::fs::remove_dir_all(&path).ok();
-    (
-        (threads * per_thread) as f64 / secs,
-        stats.group_commits,
-        stats.batches_per_fsync,
-    )
+    ((threads * per_thread) as f64 / secs, groups, hist)
 }
 
 fn service_record(workload: &str, engine: &str, ms: f64, work: Vec<(String, u64)>) -> BenchRecord {
@@ -117,44 +118,31 @@ fn main() {
     let mut solo_rate = 0.0;
     let mut rate_at_8 = 0.0;
     let mut amortization_at_8 = 0.0;
-    for window_us in [0u64, 200] {
-        let label = if window_us == 0 {
-            "window off"
-        } else {
-            "window 200us"
-        };
-        for threads in [1u64, 2, 4, 8] {
-            let config =
-                ServiceConfig::default().with_group_commit_window(Duration::from_micros(window_us));
-            let (rate, groups, hist) = ingest_rate(
-                &format!("ingest-w{window_us}-t{threads}"),
-                config,
-                threads,
-                per_thread,
-                8,
-            );
-            let batches = threads * per_thread;
-            println!(
-                "  {label}, {threads} committer(s): {rate:>9.0} batches/s ({groups:>4} fsyncs for {batches:>4} batches, {:.2} batches/fsync, histogram {hist:?})",
-                batches as f64 / groups as f64
-            );
-            if window_us == 0 && threads == 1 {
-                solo_rate = rate;
-            }
-            if window_us == 0 && threads == 8 {
-                rate_at_8 = rate;
-                amortization_at_8 = batches as f64 / groups as f64;
-            }
-            e10_records.push(service_record(
-                &format!("e10_ingest_c{threads}_w{window_us}"),
-                "service[group]",
-                batches as f64 / rate / 1e-3 / batches as f64, // ms per batch
-                vec![
-                    ("batches".into(), batches),
-                    ("group_commits".into(), groups),
-                ],
-            ));
+    for threads in [1u64, 2, 4, 8] {
+        let (rate, groups, hist) =
+            ingest_rate(&format!("ingest-t{threads}"), threads, per_thread, 8);
+        let batches = threads * per_thread;
+        println!(
+            "  {threads} committer(s): {rate:>9.0} batches/s ({groups:>4} fsyncs for {batches:>4} batches, {:.2} batches/fsync, histogram {hist:?})",
+            batches as f64 / groups as f64
+        );
+        if threads == 1 {
+            solo_rate = rate;
         }
+        if threads == 8 {
+            rate_at_8 = rate;
+            amortization_at_8 = batches as f64 / groups as f64;
+        }
+        // `_w0` ("window off") is historical; kept so recorded rows line up
+        e10_records.push(service_record(
+            &format!("e10_ingest_c{threads}_w0"),
+            "service[group]",
+            batches as f64 / rate / 1e-3 / batches as f64, // ms per batch
+            vec![
+                ("batches".into(), batches),
+                ("group_commits".into(), groups),
+            ],
+        ));
     }
     println!(
         "  => 8-committer group commit: x{:.2} over the solo one-fsync-per-batch baseline ({:.0} vs {:.0} batches/s), {:.1} batches amortized per fsync",
@@ -326,76 +314,44 @@ fn main() {
     // ---- 4. solo-writer latency ------------------------------------------
     println!("\nE10.4 solo-writer apply latency (24-op batches, durable):");
     let solo_batches = if smoke { 100 } else { 1000 };
-    let mut base_us = 0.0;
-    for (label, window) in [
-        ("window off (default)", Duration::ZERO),
-        ("window 200us        ", Duration::from_micros(200)),
-    ] {
-        let path = wal_dir(&format!("solo-{}", window.as_micros()));
-        let config = ServiceConfig::default().with_group_commit_window(window);
-        let (service, _) = QueryService::open(&path, edge_db(), config).unwrap();
-        let mut rng = SplitMix64::new(0x5010);
-        let mut lat: Vec<f64> = Vec::with_capacity(solo_batches);
-        for _ in 0..solo_batches {
-            let mut batch = WriteBatch::new();
-            for _ in 0..24 {
-                batch = batch.insert("E", vec![rng.next_u64() % 4096, rng.next_u64() % 4096]);
-            }
-            let t = Instant::now();
-            service.apply(&batch).unwrap();
-            lat.push(t.elapsed().as_secs_f64() * 1e6);
+    let path = wal_dir("solo");
+    let (service, _) = QueryService::open(&path, edge_db(), ServiceConfig::default()).unwrap();
+    let mut rng = SplitMix64::new(0x5010);
+    let mut lat: Vec<f64> = Vec::with_capacity(solo_batches);
+    for _ in 0..solo_batches {
+        let mut batch = WriteBatch::new();
+        for _ in 0..24 {
+            batch = batch.insert("E", vec![rng.next_u64() % 4096, rng.next_u64() % 4096]);
         }
-        lat.sort_by(|a, b| a.total_cmp(b));
-        let median = lat[lat.len() / 2];
-        let p99 = lat[(lat.len() * 99) / 100];
-        let stats = service.stats();
-        assert_eq!(
-            stats.group_commits, solo_batches as u64,
-            "a solo writer commits every batch in its own group"
-        );
-        assert_eq!(
-            stats.batches_per_fsync[0], solo_batches as u64,
-            "...of size exactly 1 (the degenerate PR 8 path)"
-        );
-        println!("  {label}: median {median:>7.1} us, p99 {p99:>7.1} us");
-        if window.is_zero() {
-            base_us = median;
-            e10_records.push(service_record(
-                "e10_solo_apply",
-                "service[solo]",
-                median / 1e3,
-                vec![("batches".into(), solo_batches as u64)],
-            ));
-        } else {
-            println!(
-                "  honest negative: the coalescing window is pure added latency for a solo writer (+{:.0} us vs {:.0} us median) — that is why it defaults to off",
-                median - base_us,
-                base_us
-            );
-        }
-        drop(service);
-        std::fs::remove_dir_all(&path).ok();
+        let t = Instant::now();
+        service.apply(&batch).unwrap();
+        lat.push(t.elapsed().as_secs_f64() * 1e6);
     }
+    lat.sort_by(|a, b| a.total_cmp(b));
+    let median = lat[lat.len() / 2];
+    let p99 = lat[(lat.len() * 99) / 100];
+    let (groups, hist) = group_stats(&service, solo_batches as u64);
+    assert_eq!(
+        groups, solo_batches as u64,
+        "a solo writer commits every batch in its own group"
+    );
+    assert_eq!(
+        hist[0], solo_batches as u64,
+        "...of size exactly 1 (one write, one fsync per batch)"
+    );
+    println!("  median {median:>7.1} us, p99 {p99:>7.1} us");
+    e10_records.push(service_record(
+        "e10_solo_apply",
+        "service[solo]",
+        median / 1e3,
+        vec![("batches".into(), solo_batches as u64)],
+    ));
+    drop(service);
+    std::fs::remove_dir_all(&path).ok();
 
     // ---- record E10 rows into BENCH_joins.json (full runs only) ----------
     if !smoke {
-        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join("BENCH_joins.json");
-        let mut records: Vec<BenchRecord> = std::fs::read_to_string(&path)
-            .ok()
-            .and_then(|doc| parse_bench_json(&doc))
-            .unwrap_or_default();
-        records.retain(|r| !r.workload.starts_with("e10_"));
-        records.extend(e10_records);
-        match write_bench_json(
-            &path,
-            "cargo bench -p wcoj-bench (+ e8_view_cache, e10_group_commit)",
-            &records,
-        ) {
-            Ok(()) => println!("\nwrote E10 rows into {}", path.display()),
-            Err(e) => eprintln!("could not write {}: {e}", path.display()),
-        }
+        record_rows("e10_", e10_records);
     }
 
     println!("\nE10 PASSED");

@@ -22,7 +22,7 @@
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use wcoj_bench::report::{parse_bench_json, write_bench_json, BenchRecord};
+use wcoj_bench::report::{record_rows, BenchRecord};
 use wcoj_core::exec::{execute_explain, execute_opts_with_order, CacheMode, Engine, ExecOptions};
 use wcoj_core::planner::agm_variable_order;
 use wcoj_core::TraceSink;
@@ -199,14 +199,13 @@ fn main() {
             .and_then(Json::as_str),
         Some("gauge")
     );
-    let stats = service.stats();
     assert_eq!(
         parsed
             .get("service.admitted")
             .and_then(|m| m.get("value"))
             .and_then(Json::as_u64),
-        Some(stats.admitted),
-        "StatsSnapshot and the registry agree"
+        Some(queries),
+        "every query was admitted and counted"
     );
     let slow = service.slow_queries();
     assert!(!slow.is_empty(), "threshold zero traces every query");
@@ -229,23 +228,7 @@ fn main() {
 
     // ---- record E11 rows into BENCH_joins.json (full runs only) ----------
     if !smoke {
-        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join("BENCH_joins.json");
-        let mut records: Vec<BenchRecord> = std::fs::read_to_string(&path)
-            .ok()
-            .and_then(|doc| parse_bench_json(&doc))
-            .unwrap_or_default();
-        records.retain(|r| !r.workload.starts_with("e11_"));
-        records.extend(e11_records);
-        match write_bench_json(
-            &path,
-            "cargo bench -p wcoj-bench (+ e8_view_cache, e10_group_commit, e11_observability)",
-            &records,
-        ) {
-            Ok(()) => println!("\nwrote E11 rows into {}", path.display()),
-            Err(e) => eprintln!("could not write {}: {e}", path.display()),
-        }
+        record_rows("e11_", e11_records);
     }
 
     println!("\nE11 PASSED");

@@ -16,7 +16,7 @@
 //! `BENCH_joins.json`.
 
 use std::time::Instant;
-use wcoj_bench::report::{parse_bench_json, write_bench_json, BenchRecord};
+use wcoj_bench::report::{record_rows, BenchRecord};
 use wcoj_bounds::agm::agm_bound;
 use wcoj_core::exec::{execute_opts_with_order, Engine, ExecOptions};
 use wcoj_core::planner::agm_variable_order;
@@ -155,27 +155,6 @@ fn main() {
 
     // ---- record E7 rows into BENCH_joins.json (full runs only) -----------
     if !smoke {
-        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join("BENCH_joins.json");
-        let mut records: Vec<BenchRecord> = std::fs::read_to_string(&path)
-            .ok()
-            .and_then(|doc| parse_bench_json(&doc))
-            .unwrap_or_default();
-        // replace any previous E7 rows in place, keep everything else untouched
-        let at = records
-            .iter()
-            .position(|r| r.workload.starts_with("e7_"))
-            .unwrap_or(records.len());
-        records.retain(|r| !r.workload.starts_with("e7_"));
-        records.splice(at..at, e7_records);
-        match write_bench_json(
-            &path,
-            "cargo bench -p wcoj-bench (+ e7_hw_calibration, e8_view_cache, e10_group_commit, e11_observability)",
-            &records,
-        ) {
-            Ok(()) => println!("\nwrote E7 rows into {}", path.display()),
-            Err(e) => eprintln!("could not write {}: {e}", path.display()),
-        }
+        record_rows("e7_", e7_records);
     }
 }

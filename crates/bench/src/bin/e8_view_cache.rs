@@ -29,7 +29,7 @@
 //! quoted in `EXPERIMENTS.md`.
 
 use std::time::Instant;
-use wcoj_bench::report::{parse_bench_json, write_bench_json, BenchRecord};
+use wcoj_bench::report::{record_rows, BenchRecord};
 use wcoj_bounds::agm::agm_bound;
 use wcoj_core::exec::{
     execute_opts_with_order, CacheMode, CacheStats, Engine, ExecOptions, ExecOutput,
@@ -339,24 +339,7 @@ fn main() {
 
     // ---- record E8 rows into BENCH_joins.json (full runs only) -----------
     if !smoke {
-        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join("BENCH_joins.json");
-        let mut records: Vec<BenchRecord> = std::fs::read_to_string(&path)
-            .ok()
-            .and_then(|doc| parse_bench_json(&doc))
-            .unwrap_or_default();
-        // replace any previous E8 rows, keep everything else untouched
-        records.retain(|r| !r.workload.starts_with("e8_"));
-        records.extend(e8_records);
-        match write_bench_json(
-            &path,
-            "cargo bench -p wcoj-bench (+ e8_view_cache)",
-            &records,
-        ) {
-            Ok(()) => println!("\nwrote E8 rows into {}", path.display()),
-            Err(e) => eprintln!("could not write {}: {e}", path.display()),
-        }
+        record_rows("e8_", e8_records);
     }
 
     println!("\nE8 PASSED");

@@ -190,7 +190,10 @@ fn main() {
         });
         let (ok, shed) = (ok.load(Ordering::Relaxed), shed.load(Ordering::Relaxed));
         assert_eq!(ok + shed, 24);
-        assert_eq!(service.stats().shed, shed);
+        assert_eq!(
+            service.registry().snapshot().counter_value("service.shed"),
+            Some(shed)
+        );
         println!("  queue {max_queued:>2}: {ok:>2} served, {shed:>2} shed (typed Overloaded)");
     }
 

@@ -132,6 +132,12 @@ fn json_f64(v: f64) -> String {
     }
 }
 
+/// The `generated_by` header of `BENCH_joins.json`: every writer of the file
+/// (the bench harness and the experiment binaries that append their rows)
+/// stamps the same list.
+pub const GENERATED_BY: &str =
+    "cargo bench -p wcoj-bench (+ e7_hw_calibration, e8_view_cache, e10_group_commit, e11_observability)";
+
 /// Render benchmark records as a pretty-printed JSON document.
 pub fn render_bench_json(command: &str, records: &[BenchRecord]) -> String {
     let mut out = String::new();
@@ -163,14 +169,35 @@ pub fn render_bench_json(command: &str, records: &[BenchRecord]) -> String {
     out
 }
 
-/// Write benchmark records to `path` as JSON.
-pub fn write_bench_json(
-    path: &std::path::Path,
-    command: &str,
-    records: &[BenchRecord],
-) -> std::io::Result<()> {
+/// Write benchmark records to `path` as JSON, headed by [`GENERATED_BY`].
+pub fn write_bench_json(path: &std::path::Path, records: &[BenchRecord]) -> std::io::Result<()> {
     let mut f = std::fs::File::create(path)?;
-    f.write_all(render_bench_json(command, records).as_bytes())
+    f.write_all(render_bench_json(GENERATED_BY, records).as_bytes())
+}
+
+/// Replace the rows of the workspace's `BENCH_joins.json` whose workload
+/// starts with `prefix` by `rows`, in place (where the first old row stood,
+/// or at the end when there was none); every other row is left untouched.
+/// The experiment binaries call this after a full run.
+pub fn record_rows(prefix: &str, rows: Vec<BenchRecord>) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join("BENCH_joins.json");
+    let mut records: Vec<BenchRecord> = std::fs::read_to_string(&path)
+        .ok()
+        .and_then(|doc| parse_bench_json(&doc))
+        .unwrap_or_default();
+    let at = records
+        .iter()
+        .position(|r| r.workload.starts_with(prefix))
+        .unwrap_or(records.len());
+    // every row before `at` is kept, so `at` stays a valid position
+    records.retain(|r| !r.workload.starts_with(prefix));
+    records.splice(at..at, rows);
+    match write_bench_json(&path, &records) {
+        Ok(()) => println!("\nwrote {prefix}* rows into {}", path.display()),
+        Err(e) => eprintln!("could not write {}: {e}", path.display()),
+    }
 }
 
 /// Parse a `BENCH_joins.json` document produced by [`render_bench_json`] back

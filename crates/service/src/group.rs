@@ -9,9 +9,7 @@
 //! *single* fsync for the group, then fills each member's outcome slot. While
 //! the leader is inside its fsync, new arrivals pile up in the queue — so the
 //! batching is **self-clocking**: the slower the disk, the larger the groups,
-//! with no tuning required. An optional coalescing window
-//! (`WCOJ_GROUP_COMMIT_US`) lets the leader wait a bounded extra moment to
-//! grow the group — a latency-for-throughput trade that defaults to off.
+//! with no tuning required.
 //!
 //! This module owns only the queueing fabric (queue, leadership flag, per-
 //! caller outcome slots). The commit protocol itself — epoch CAS, WAL append,

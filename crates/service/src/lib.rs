@@ -61,7 +61,6 @@ pub mod service;
 pub use admission::{AdmissionGate, Permit};
 pub use error::ServiceError;
 pub use service::{
-    replay_into, QueryService, RecoveryReport, ServiceConfig, StatsSnapshot, WriteBatch,
-    GROUP_SIZE_BUCKETS,
+    replay_into, QueryService, RecoveryReport, ServiceConfig, WriteBatch, GROUP_SIZE_BUCKETS,
 };
 pub use wcoj_obs::{MetricValue, MetricsSnapshot, Registry};

@@ -28,11 +28,8 @@
 //! appends all payloads and commit markers, and issues a **single fsync** for
 //! the whole group — so the per-batch fsync cost is amortized across however
 //! many writers piled up during the previous group's barrier. A failed group
-//! fsync fails *every* member atomically with memory untouched. An optional
-//! coalescing window (`WCOJ_GROUP_COMMIT_US`,
-//! [`ServiceConfig::group_commit_window`]) grows groups at the cost of
-//! latency; a solo writer degenerates to exactly the PR 8 path — one append,
-//! one marker, one fsync.
+//! fsync fails *every* member atomically with memory untouched. A solo writer
+//! degenerates to one write (ops plus commit marker) and one fsync.
 //!
 //! # Recovery
 //!
@@ -75,8 +72,6 @@ pub struct ServiceConfig {
     /// Queries allowed to wait; arrivals beyond this are shed with
     /// [`ServiceError::Overloaded`].
     pub max_queued: usize,
-    /// Deadline applied to queries that do not bring their own token.
-    pub default_deadline: Option<Duration>,
     /// Engine/threads used for query execution.
     pub exec: ExecOptions,
     /// Conflict retries in [`QueryService::apply_with_retry`] before the
@@ -84,18 +79,10 @@ pub struct ServiceConfig {
     pub write_retries: u32,
     /// Base backoff between conflict retries (doubles per attempt).
     pub retry_backoff: Duration,
-    /// Worker threads for compaction ops (1 = serial; the merge is
-    /// deterministic either way, so replay matches any setting).
-    pub compact_threads: usize,
     /// Injected faults for the durability path (seal delay is honored here;
     /// fsync/torn faults inside the WAL writer, checkpoint tears inside
     /// [`write_checkpoint`]).
     pub fault: FaultPlan,
-    /// How long a group-commit leader waits after claiming leadership before
-    /// draining the queue, letting more batches coalesce into its fsync.
-    /// Zero (the default) relies on the self-clocking batching alone.
-    /// Defaults from `WCOJ_GROUP_COMMIT_US` (microseconds).
-    pub group_commit_window: Duration,
     /// WAL segment-rotation threshold in bytes. Defaults from
     /// `WCOJ_WAL_SEGMENT_BYTES` (64 MiB when unset).
     pub segment_bytes: u64,
@@ -109,15 +96,6 @@ pub struct ServiceConfig {
     /// query; `None` (the default) disables tracing entirely. Defaults from
     /// `WCOJ_SLOW_QUERY_MS` (milliseconds).
     pub slow_query: Option<Duration>,
-}
-
-/// `WCOJ_GROUP_COMMIT_US` (microseconds), or zero when unset/unparsable.
-fn group_commit_window_from_env() -> Duration {
-    std::env::var("WCOJ_GROUP_COMMIT_US")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .map(Duration::from_micros)
-        .unwrap_or(Duration::ZERO)
 }
 
 /// `WCOJ_SLOW_QUERY_MS` (milliseconds; `0` traces every query), or `None`
@@ -134,13 +112,10 @@ impl Default for ServiceConfig {
         ServiceConfig {
             max_concurrent: 4,
             max_queued: 16,
-            default_deadline: None,
             exec: ExecOptions::default(),
             write_retries: 3,
             retry_backoff: Duration::from_millis(1),
-            compact_threads: 1,
             fault: FaultPlan::from_env(),
-            group_commit_window: group_commit_window_from_env(),
             segment_bytes: segment_bytes_from_env(),
             checkpoint_after_segments: 1,
             slow_query: slow_query_from_env(),
@@ -156,12 +131,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Override the default per-query deadline.
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.default_deadline = Some(deadline);
-        self
-    }
-
     /// Override the execution options.
     pub fn with_exec(mut self, exec: ExecOptions) -> Self {
         self.exec = exec;
@@ -171,12 +140,6 @@ impl ServiceConfig {
     /// Override the injected fault plan (tests).
     pub fn with_fault(mut self, fault: FaultPlan) -> Self {
         self.fault = fault;
-        self
-    }
-
-    /// Override the group-commit coalescing window.
-    pub fn with_group_commit_window(mut self, window: Duration) -> Self {
-        self.group_commit_window = window;
         self
     }
 
@@ -216,7 +179,7 @@ const SLOW_LOG_CAP: usize = 16;
 /// paths update lock-free atomics directly (no name lookups); the same
 /// primitives are visible by name through [`QueryService::registry`] under
 /// `service.*` (admission/query), `wal.*` (durability), and `recovery.*`
-/// (startup) — [`QueryService::stats`] is a thin compatibility view over them.
+/// (startup).
 #[derive(Debug)]
 struct ServiceStats {
     admitted: Arc<Counter>,
@@ -242,6 +205,8 @@ struct ServiceStats {
     commit_wait_us: Arc<Histogram>,
     checkpoint_us: Arc<Histogram>,
     checkpoints: Arc<Counter>,
+    checkpoint_failures: Arc<Counter>,
+    checkpoint_failing: Arc<Gauge>,
     segments_deleted: Arc<Counter>,
     wal_bytes: Arc<Gauge>,
 }
@@ -274,48 +239,12 @@ impl ServiceStats {
             commit_wait_us: registry.histogram("wal.commit_wait_us", latency_histogram),
             checkpoint_us: registry.histogram("wal.checkpoint_us", latency_histogram),
             checkpoints: registry.counter("wal.checkpoints"),
+            checkpoint_failures: registry.counter("wal.checkpoint_failures"),
+            checkpoint_failing: registry.gauge("wal.checkpoint_failing"),
             segments_deleted: registry.counter("wal.segments_deleted"),
             wal_bytes: registry.gauge("wal.bytes"),
         }
     }
-}
-
-/// A point-in-time copy of the service counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StatsSnapshot {
-    /// Queries that passed admission.
-    pub admitted: u64,
-    /// Queries shed with [`ServiceError::Overloaded`].
-    pub shed: u64,
-    /// Queries that hit their deadline mid-execution.
-    pub deadline_exceeded: u64,
-    /// Queries cancelled explicitly.
-    pub canceled: u64,
-    /// Write batches durably committed and applied.
-    pub batches_committed: u64,
-    /// Ops inside those batches.
-    pub ops_committed: u64,
-    /// Write batches rejected by the epoch CAS.
-    pub conflicts: u64,
-    /// Conflict retries performed by [`QueryService::apply_with_retry`].
-    pub write_retries: u64,
-    /// Batches reconstructed from the log at [`QueryService::open`]
-    /// (checkpoint-covered + tail-replayed).
-    pub recovered_batches: u64,
-    /// Ops actually **replayed** at [`QueryService::open`] — the tail after
-    /// the newest checkpoint, i.e. the work recovery had to redo.
-    pub recovery_replay_ops: u64,
-    /// Coalesced commit groups flushed (each = exactly one fsync).
-    pub group_commits: u64,
-    /// Histogram of group sizes: bucket `i` counts groups of up to
-    /// [`GROUP_SIZE_BUCKETS`]`[i]` batches (≤1, ≤2, ≤4, ≤8, ≤16, more).
-    pub batches_per_fsync: [u64; 6],
-    /// Checkpoints durably written.
-    pub checkpoints: u64,
-    /// WAL segments deleted by checkpoint GC.
-    pub segments_deleted: u64,
-    /// Gauge: on-disk WAL segment bytes (appended minus GC-freed).
-    pub wal_bytes: u64,
 }
 
 /// A batch of catalog mutations applied atomically: WAL-logged, fsynced, then
@@ -415,18 +344,13 @@ impl WriteBatch {
 pub fn replay_into(db: &mut Database, batches: &[Vec<WalOp>]) -> Result<(), ServiceError> {
     for batch in batches {
         for op in batch {
-            apply_op(db, op, 1, &FaultPlan::default())?;
+            apply_op(db, op, &FaultPlan::default())?;
         }
     }
     Ok(())
 }
 
-fn apply_op(
-    db: &mut Database,
-    op: &WalOp,
-    compact_threads: usize,
-    fault: &FaultPlan,
-) -> Result<(), ServiceError> {
+fn apply_op(db: &mut Database, op: &WalOp, fault: &FaultPlan) -> Result<(), ServiceError> {
     match op {
         WalOp::Insert { relation, tuple } => {
             db.insert_delta(relation, tuple.clone())?;
@@ -443,7 +367,7 @@ fn apply_op(
             db.seal(relation)?;
         }
         WalOp::Compact { relation } => {
-            db.compact(relation, compact_threads.max(1))?;
+            db.compact(relation, 1)?;
         }
         WalOp::Commit { .. } => {
             // commit markers delimit batches in the log; replay_into receives
@@ -578,12 +502,13 @@ impl QueryService {
         replay_into(&mut base, &recovery.tail)?;
         let replay_us = replay_started.elapsed().as_micros() as u64;
         let writer = SegmentedWal::open(&dir, &recovery, config.segment_bytes, config.fault)?;
+        // the writer is open, so the tail can move into the report
         let report = RecoveryReport {
             checkpoint_seq,
-            tail: recovery.tail.clone(),
+            tail: recovery.tail,
             committed: recovery.committed,
             torn: recovery.torn,
-            tail_reason: recovery.tail_reason.clone(),
+            tail_reason: recovery.tail_reason,
             segments: recovery.segments,
             wal_bytes: recovery.wal_bytes,
         };
@@ -651,30 +576,6 @@ impl QueryService {
         self.db_read().snapshot()
     }
 
-    /// Current service counters — a thin view over the same registry
-    /// primitives [`QueryService::registry`] exposes by name.
-    pub fn stats(&self) -> StatsSnapshot {
-        let s = &self.stats;
-        let group_sizes = s.batches_per_fsync.bucket_counts();
-        StatsSnapshot {
-            admitted: s.admitted.get(),
-            shed: s.shed.get(),
-            deadline_exceeded: s.deadline_exceeded.get(),
-            canceled: s.canceled.get(),
-            batches_committed: s.batches_committed.get(),
-            ops_committed: s.ops_committed.get(),
-            conflicts: s.conflicts.get(),
-            write_retries: s.write_retries.get(),
-            recovered_batches: s.recovered_batches.get(),
-            recovery_replay_ops: s.recovery_replay_ops.get(),
-            group_commits: s.group_commits.get(),
-            batches_per_fsync: std::array::from_fn(|i| group_sizes[i]),
-            checkpoints: s.checkpoints.get(),
-            segments_deleted: s.segments_deleted.get(),
-            wal_bytes: s.wal_bytes.get(),
-        }
-    }
-
     /// The metrics registry behind the service: every `service.*`, `wal.*`,
     /// `recovery.*`, and `cache.*` primitive, snapshottable as stable JSON
     /// ([`QueryService::metrics_json`]) or Prometheus text
@@ -736,14 +637,9 @@ impl QueryService {
         }
     }
 
-    /// Execute `query` against a fresh snapshot, with the config's default
-    /// deadline (if any).
+    /// Execute `query` against a fresh snapshot, with no deadline.
     pub fn query(&self, query: &ConjunctiveQuery) -> Result<ExecOutput, ServiceError> {
-        let token = match self.config.default_deadline {
-            Some(d) => CancelToken::expiring_in(d),
-            None => CancelToken::new(),
-        };
-        self.query_with(query, &token)
+        self.query_with(query, &CancelToken::new())
     }
 
     /// Execute `query` with an explicit deadline from now.
@@ -848,13 +744,9 @@ impl QueryService {
             slot: Arc::clone(&slot),
         });
         if leader {
-            // bounded coalescing window: arrivals during the sleep join this
-            // group's fsync (self-clocking batching needs no window at all —
-            // followers pile up while the leader is inside the *previous*
-            // fsync — so zero is the default)
-            if !self.config.group_commit_window.is_zero() {
-                std::thread::sleep(self.config.group_commit_window);
-            }
+            // self-clocking batching: followers pile up while the leader is
+            // inside the previous group's fsync, and the next round takes
+            // them all
             loop {
                 let group = self.group.drain();
                 self.commit_group(wal, group);
@@ -897,7 +789,7 @@ impl QueryService {
             }
         }
         for op in &batch.ops {
-            apply_op(&mut db, op, self.config.compact_threads, &self.config.fault)?;
+            apply_op(&mut db, op, &self.config.fault)?;
         }
         self.stats.batches_committed.inc();
         self.stats.ops_committed.add(batch.ops.len() as u64);
@@ -1020,9 +912,7 @@ impl QueryService {
             for (pending, seq) in accepted.into_iter().zip(seqs) {
                 let mut outcome = Ok(seq);
                 for op in &pending.batch.ops {
-                    if let Err(e) =
-                        apply_op(&mut db, op, self.config.compact_threads, &self.config.fault)
-                    {
+                    if let Err(e) = apply_op(&mut db, op, &self.config.fault) {
                         outcome = Err(e);
                         break;
                     }
@@ -1054,8 +944,9 @@ impl QueryService {
     }
 
     /// Take a checkpoint if enough segments rotated out since the last one.
-    /// Best-effort: a failed attempt (e.g. an injected tear) just leaves
-    /// recovery on the previous checkpoint plus a longer tail.
+    /// Best-effort: a failed attempt (e.g. an injected tear) leaves recovery
+    /// on the previous checkpoint plus a longer tail, and shows up only in
+    /// the `wal.checkpoint_failures` / `wal.checkpoint_failing` metrics.
     fn maybe_checkpoint(&self, wal: &Mutex<SegmentedWal>) {
         if self.config.checkpoint_after_segments == 0 {
             return;
@@ -1073,7 +964,9 @@ impl QueryService {
     /// is never stalled**: encoding and file I/O happen outside all locks.
     /// Returns the covered sequence, or `None` when skipped (in-memory
     /// service, no progress since the last checkpoint, or another checkpoint
-    /// in flight).
+    /// in flight). A failure counts into `wal.checkpoint_failures` and sets
+    /// the `wal.checkpoint_failing` health gauge to 1; the next durable
+    /// checkpoint clears it to 0.
     pub fn checkpoint(&self) -> Result<Option<u64>, ServiceError> {
         let (Some(wal), Some(dir)) = (&self.wal, &self.wal_dir) else {
             return Ok(None);
@@ -1083,6 +976,14 @@ impl QueryService {
         }
         let result = self.checkpoint_inner(wal, dir);
         self.checkpoint_active.store(false, Ordering::Release);
+        match &result {
+            Ok(Some(_)) => self.stats.checkpoint_failing.set(0),
+            Ok(None) => {}
+            Err(_) => {
+                self.stats.checkpoint_failures.inc();
+                self.stats.checkpoint_failing.set(1);
+            }
+        }
         result
     }
 

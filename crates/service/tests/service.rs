@@ -6,8 +6,10 @@
 use std::time::Duration;
 use wcoj_core::{execute_cancellable, CancelToken, ExecOptions};
 use wcoj_query::{query::examples, Database};
-use wcoj_service::{replay_into, QueryService, ServiceConfig, ServiceError, WriteBatch};
-use wcoj_storage::wal::{FaultPlan, WalWriter};
+use wcoj_service::{
+    replay_into, MetricValue, QueryService, ServiceConfig, ServiceError, WriteBatch,
+};
+use wcoj_storage::wal::FaultPlan;
 use wcoj_storage::{DeltaRelation, Relation, Schema};
 use wcoj_workloads::SplitMix64;
 
@@ -17,6 +19,22 @@ fn temp_wal(tag: &str) -> std::path::PathBuf {
     p.push(format!("wcoj-service-{tag}-{}", std::process::id()));
     std::fs::remove_dir_all(&p).ok();
     p
+}
+
+/// One counter or gauge from the service's registry, by dotted name.
+fn metric(service: &QueryService, name: &str) -> u64 {
+    let snap = service.registry().snapshot();
+    snap.counter_value(name)
+        .or_else(|| snap.gauge_value(name))
+        .unwrap_or_else(|| panic!("no counter or gauge named {name}"))
+}
+
+/// A histogram's per-bucket counts and total count, by dotted name.
+fn histogram(service: &QueryService, name: &str) -> (Vec<u64>, u64) {
+    match service.registry().snapshot().get(name) {
+        Some(MetricValue::Histogram { counts, count, .. }) => (counts.clone(), *count),
+        other => panic!("{name} missing or not a histogram: {other:?}"),
+    }
 }
 
 /// A catalog with one delta relation `E(a, b)` that only seals explicitly.
@@ -80,25 +98,32 @@ fn crash_and_recover_is_bit_identical_to_the_committed_prefix() {
     }
     let expected_rows: Relation = service.with_db(|db| db.delta("E").unwrap().snapshot());
     let expected_runs = service.with_db(|db| db.delta("E").unwrap().run_sizes());
-    assert_eq!(service.stats().batches_committed, 12);
+    assert_eq!(metric(&service, "wal.batches_committed"), 12);
+    let log_bytes = metric(&service, "wal.bytes");
     drop(service); // simulated crash after the last commit
 
-    // splice an uncommitted tail onto the live segment — a crash mid-batch
-    // (the default 64 MiB rotation threshold means one segment holds it all)
-    let mut w =
-        WalWriter::append_to_with_fault(path.join("wal.000001"), 12, FaultPlan::default()).unwrap();
-    w.log(&wcoj_storage::wal::WalOp::Insert {
-        relation: "E".into(),
-        tuple: vec![999, 999],
-    })
-    .unwrap();
-    drop(w); // never committed
+    // a crash mid-batch: the next batch's write tears 5 bytes into its first
+    // record (the fault ruler is absolute, so it counts from the log start)
+    let torn = config
+        .clone()
+        .with_fault(FaultPlan::parse(&format!("torn:{}", log_bytes + 5)).unwrap());
+    let (service, _) = QueryService::open(&path, edge_db(), torn).unwrap();
+    let lost = WriteBatch::new()
+        .insert("E", vec![999, 999])
+        .insert("E", vec![998, 998]);
+    assert!(matches!(
+        service.apply(&lost),
+        Err(ServiceError::Wal(
+            wcoj_storage::StorageError::FaultInjected(_)
+        ))
+    ));
+    drop(service); // never committed
 
     let (recovered, replayed) = QueryService::open(&path, edge_db(), config).unwrap();
     assert_eq!(replayed.committed, 12, "committed batches survive");
     assert_eq!(replayed.tail.len(), 12, "no checkpoint: all replayed");
-    assert!(replayed.torn(), "the uncommitted tail was dropped");
-    assert_eq!(recovered.stats().recovered_batches, 12);
+    assert!(replayed.torn(), "the torn tail was dropped");
+    assert_eq!(metric(&recovered, "recovery.batches"), 12);
     recovered.with_db(|db| {
         let delta = db.delta("E").unwrap();
         assert_eq!(delta.snapshot(), expected_rows, "rows are bit-identical");
@@ -168,7 +193,7 @@ fn snapshot_queries_are_bit_identical_under_a_concurrent_writer() {
     let last = execute_cancellable(&q, &snap0, &opts, None, &token).unwrap();
     assert_eq!(last.result, baseline.result);
     assert_eq!(last.work, baseline.work);
-    assert_eq!(service.stats().batches_committed, 40);
+    assert_eq!(metric(&service, "wal.batches_committed"), 40);
 }
 
 #[test]
@@ -212,9 +237,8 @@ fn overload_sheds_and_deadlines_expire_with_typed_errors() {
         long.join().unwrap().unwrap();
     });
 
-    let stats = service.stats();
-    assert_eq!(stats.deadline_exceeded, 1);
-    assert_eq!(stats.canceled, 1);
+    assert_eq!(metric(&service, "service.deadline_exceeded"), 1);
+    assert_eq!(metric(&service, "service.canceled"), 1);
 }
 
 #[test]
@@ -230,7 +254,7 @@ fn conflicting_batches_are_rejected_and_retry_rebases() {
         Err(ServiceError::Conflict { relation, .. }) => assert_eq!(relation, "E"),
         other => panic!("expected Conflict, got {other:?}"),
     }
-    assert_eq!(service.stats().conflicts, 1);
+    assert_eq!(metric(&service, "wal.conflicts"), 1);
     service.with_db(|db| assert!(!db.delta("E").unwrap().is_live(&[3, 4])));
 
     // rebasing on a fresh snapshot succeeds without retries...
@@ -253,7 +277,7 @@ fn conflicting_batches_are_rejected_and_retry_rebases() {
             Ok(batch)
         })
         .unwrap();
-    assert_eq!(service.stats().write_retries, 1);
+    assert_eq!(metric(&service, "wal.write_retries"), 1);
     service.with_db(|db| {
         let delta = db.delta("E").unwrap();
         assert!(delta.is_live(&[7, 8]) && delta.is_live(&[9, 9]));
@@ -376,33 +400,40 @@ fn replay_into_matches_live_application_over_a_random_stream() {
 }
 
 /// Property: an acknowledged batch never vanishes. Concurrent committers
-/// flow through the group-commit coordinator (coalescing window on, so real
-/// multi-batch groups form); after a crash, every `Ok(seq)` the service
-/// handed out is still durable — `committed >= seq` and the tuple is live.
+/// flow through the group-commit coordinator (started behind the catalog
+/// read lock, so real multi-batch groups form); after a crash, every
+/// `Ok(seq)` the service handed out is still durable — `committed >= seq`
+/// and the tuple is live.
 #[test]
 fn group_commit_acked_batches_never_vanish_across_crash() {
     let path = temp_wal("group-acked");
-    let config = ServiceConfig::default().with_group_commit_window(Duration::from_millis(1));
-    let (service, _) = QueryService::open(&path, edge_db(), config).unwrap();
+    let (service, _) = QueryService::open(&path, edge_db(), ServiceConfig::default()).unwrap();
 
     const THREADS: u64 = 8;
     const PER_THREAD: u64 = 25;
     let mut acked: Vec<(u64, u64)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..THREADS)
-            .map(|t| {
-                let service = &service;
-                scope.spawn(move || {
-                    let mut mine = Vec::new();
-                    for i in 0..PER_THREAD {
-                        let tuple = t * 1_000 + i;
-                        let batch = WriteBatch::new().insert("E", vec![tuple, tuple]);
-                        let seq = service.apply(&batch).unwrap();
-                        mine.push((seq, tuple));
-                    }
-                    mine
+        // hold the catalog read lock while the committers start: the first
+        // leader blocks on the write lock with only its own batch drained,
+        // so the others queue behind it and its next round commits them as
+        // one group
+        let handles: Vec<_> = service.with_db(|_| {
+            let handles = (0..THREADS)
+                .map(|t| {
+                    let service = &service;
+                    scope.spawn(move || {
+                        let mut mine = Vec::new();
+                        for i in 0..PER_THREAD {
+                            let tuple = t * 1_000 + i;
+                            let batch = WriteBatch::new().insert("E", vec![tuple, tuple]);
+                            mine.push((service.apply(&batch).unwrap(), tuple));
+                        }
+                        mine
+                    })
                 })
-            })
-            .collect();
+                .collect();
+            std::thread::sleep(Duration::from_millis(100));
+            handles
+        });
         handles
             .into_iter()
             .flat_map(|h| h.join().unwrap())
@@ -413,25 +444,26 @@ fn group_commit_acked_batches_never_vanish_across_crash() {
     let seqs: Vec<u64> = acked.iter().map(|&(s, _)| s).collect();
     assert_eq!(seqs, (1..=THREADS * PER_THREAD).collect::<Vec<_>>());
 
-    let stats = service.stats();
-    assert_eq!(stats.batches_committed, THREADS * PER_THREAD);
+    let committed = metric(&service, "wal.batches_committed");
+    let groups = metric(&service, "wal.group_commits");
+    assert_eq!(committed, THREADS * PER_THREAD);
+    assert!(groups <= committed, "one fsync per group, not per batch");
     assert!(
-        stats.group_commits <= stats.batches_committed,
-        "one fsync per group, not per batch"
-    );
-    assert!(
-        stats.group_commits < THREADS * PER_THREAD,
-        "the coalescing window formed at least one multi-batch group \
-         ({} groups for {} batches)",
-        stats.group_commits,
+        groups < THREADS * PER_THREAD,
+        "committers queued behind a blocked leader form at least one \
+         multi-batch group ({groups} groups for {} batches)",
         THREADS * PER_THREAD
     );
-    assert_eq!(
-        stats.batches_per_fsync.iter().sum::<u64>(),
-        stats.group_commits,
-        "histogram totals the group count"
+    let (sizes, count) = histogram(&service, "wal.batches_per_fsync");
+    assert_eq!(count, groups, "histogram totals the group count");
+    assert!(
+        sizes[1..].iter().sum::<u64>() > 0,
+        "some group held more than one batch"
     );
-    assert!(stats.wal_bytes > 0, "the log-size gauge is maintained");
+    assert!(
+        metric(&service, "wal.bytes") > 0,
+        "the log-size gauge is maintained"
+    );
     drop(service); // crash
 
     let (recovered, replayed) =
@@ -450,42 +482,56 @@ fn group_commit_acked_batches_never_vanish_across_crash() {
     std::fs::remove_dir_all(&path).ok();
 }
 
-/// Property: an injected fsync failure during a coalesced group fails every
-/// member of that group atomically — all callers get `Err`, memory is
-/// untouched — and reopening yields exactly the committed prefix the log
-/// actually holds.
+/// Property: an injected fsync failure during a multi-batch group fails every
+/// member of that group atomically — all its callers get the injected error,
+/// memory is untouched by them — and reopening yields exactly the committed
+/// prefix the log actually holds.
 #[test]
 fn failed_group_fsync_fails_every_member_atomically() {
     let path = temp_wal("group-fsync-fault");
-    let config = ServiceConfig::default()
-        .with_fault(FaultPlan::parse("fsync_fail:1").unwrap())
-        .with_group_commit_window(Duration::from_millis(2));
+    // the first group (the leader alone) syncs; the second group's fsync fails
+    let config = ServiceConfig::default().with_fault(FaultPlan::parse("fsync_fail:2").unwrap());
     let (service, _) = QueryService::open(&path, edge_db(), config).unwrap();
 
-    const THREADS: u64 = 6;
-    let outcomes: Vec<Result<u64, ServiceError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..THREADS)
-            .map(|t| {
-                let service = &service;
-                scope.spawn(move || service.apply(&WriteBatch::new().insert("E", vec![t, t])))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    const FOLLOWERS: u64 = 5;
+    let (leader, followers) = std::thread::scope(|scope| {
+        let (leader, followers) = service.with_db(|_| {
+            // the leader drains its own batch and blocks on the write lock...
+            let leader =
+                scope.spawn(|| service.apply(&WriteBatch::new().insert("E", vec![100, 100])));
+            std::thread::sleep(Duration::from_millis(50));
+            // ...so every later committer queues for the leader's next round
+            let followers: Vec<_> = (0..FOLLOWERS)
+                .map(|t| {
+                    let service = &service;
+                    scope.spawn(move || service.apply(&WriteBatch::new().insert("E", vec![t, t])))
+                })
+                .collect();
+            std::thread::sleep(Duration::from_millis(100));
+            (leader, followers)
+        });
+        let followers: Vec<_> = followers.into_iter().map(|h| h.join().unwrap()).collect();
+        (leader.join().unwrap(), followers)
     });
-    // the first group's single fsync fails the whole group; later groups hit
-    // the poisoned writer — nobody is acknowledged
-    for outcome in &outcomes {
+    assert_eq!(leader.unwrap(), 1, "the solo first group is durable");
+    // one failed fsync, one shared error: every follower was in that group
+    // (a later group would hit the poisoned writer with a different error)
+    for outcome in &followers {
         assert!(
-            matches!(outcome, Err(ServiceError::Wal(_))),
-            "expected a WAL error for every member, got {outcome:?}"
+            matches!(
+                outcome,
+                Err(ServiceError::Wal(
+                    wcoj_storage::StorageError::FaultInjected(_)
+                ))
+            ),
+            "expected the injected fsync failure for every member, got {outcome:?}"
         );
     }
+    assert_eq!(metric(&service, "wal.group_commits"), 1);
     service.with_db(|db| {
-        assert_eq!(
-            db.delta("E").unwrap().len(),
-            0,
-            "no member's effects reached memory"
-        );
+        let delta = db.delta("E").unwrap();
+        assert_eq!(delta.len(), 1, "no member's effects reached memory");
+        assert!(delta.is_live(&[100, 100]));
     });
     drop(service);
 
@@ -494,7 +540,7 @@ fn failed_group_fsync_fails_every_member_atomically() {
     // log: whatever prefix replays is exactly what the catalog holds
     let (recovered, replayed) =
         QueryService::open(&path, edge_db(), ServiceConfig::default()).unwrap();
-    assert!(replayed.committed <= THREADS);
+    assert!((1..=1 + FOLLOWERS).contains(&replayed.committed));
     recovered.with_db(|db| {
         assert_eq!(
             db.delta("E").unwrap().len(),
@@ -528,12 +574,16 @@ fn torn_checkpoint_falls_back_to_previous_checkpoint_and_longer_tail() {
         }
     };
     apply_batches(&service, 30);
-    let healthy = service.stats();
-    assert!(healthy.checkpoints >= 1, "tiny segments force checkpoints");
     assert!(
-        healthy.segments_deleted >= 1,
+        metric(&service, "wal.checkpoints") >= 1,
+        "tiny segments force checkpoints"
+    );
+    assert!(
+        metric(&service, "wal.segments_deleted") >= 1,
         "GC reclaimed covered segments"
     );
+    assert_eq!(metric(&service, "wal.checkpoint_failures"), 0);
+    assert_eq!(metric(&service, "wal.checkpoint_failing"), 0, "healthy");
     drop(service);
     let good_ckpt = {
         let (_, replayed) = QueryService::open(&path, edge_db(), tiny.clone()).unwrap();
@@ -549,11 +599,18 @@ fn torn_checkpoint_falls_back_to_previous_checkpoint_and_longer_tail() {
     let (service, _) = QueryService::open(&path, edge_db(), torn_config).unwrap();
     apply_batches(&service, 30);
     assert_eq!(
-        service.stats().checkpoints,
+        metric(&service, "wal.checkpoints"),
         0,
         "torn checkpoints never count"
     );
-    assert_eq!(service.stats().batches_committed, 30, "writes unaffected");
+    assert_eq!(
+        metric(&service, "wal.batches_committed"),
+        30,
+        "writes unaffected"
+    );
+    // ...but the degradation is visible: failures counted, health flag up
+    assert!(metric(&service, "wal.checkpoint_failures") >= 1);
+    assert_eq!(metric(&service, "wal.checkpoint_failing"), 1);
     drop(service);
 
     // phase 3: recovery discards the torn checkpoint file and falls back
@@ -617,9 +674,9 @@ fn checkpoints_bound_recovery_to_the_tail_through_the_service() {
         }
         assert_eq!(service.apply(&batch).unwrap(), i + 1);
     }
-    let stats = service.stats();
-    assert!(stats.checkpoints >= 2);
-    assert!(stats.segments_deleted >= stats.checkpoints);
+    let checkpoints = metric(&service, "wal.checkpoints");
+    assert!(checkpoints >= 2);
+    assert!(metric(&service, "wal.segments_deleted") >= checkpoints);
     let rows = service.with_db(|db| db.delta("E").unwrap().len());
     drop(service);
 
@@ -633,7 +690,7 @@ fn checkpoints_bound_recovery_to_the_tail_through_the_service() {
         replayed.tail.len()
     );
     assert_eq!(
-        recovered.stats().recovery_replay_ops,
+        metric(&recovered, "recovery.replay_ops"),
         replayed.num_ops() as u64
     );
     recovered.with_db(|db| assert_eq!(db.delta("E").unwrap().len(), rows));
@@ -653,9 +710,11 @@ fn checkpoints_bound_recovery_to_the_tail_through_the_service() {
 #[test]
 fn concurrent_cas_writers_converge_under_group_commit() {
     let path = temp_wal("group-cas");
-    let mut config = ServiceConfig::default().with_group_commit_window(Duration::from_micros(200));
-    config.write_retries = 50;
-    config.retry_backoff = Duration::from_micros(50);
+    let config = ServiceConfig {
+        write_retries: 50,
+        retry_backoff: Duration::from_micros(50),
+        ..ServiceConfig::default()
+    };
     let (service, _) = QueryService::open(&path, edge_db(), config).unwrap();
 
     const THREADS: u64 = 4;
@@ -675,8 +734,10 @@ fn concurrent_cas_writers_converge_under_group_commit() {
             });
         }
     });
-    let stats = service.stats();
-    assert_eq!(stats.batches_committed, THREADS * PER_THREAD);
+    assert_eq!(
+        metric(&service, "wal.batches_committed"),
+        THREADS * PER_THREAD
+    );
     service.with_db(|db| {
         let delta = db.delta("E").unwrap();
         assert_eq!(delta.len(), (THREADS * PER_THREAD) as usize);
@@ -702,42 +763,24 @@ fn registry_mirrors_stats_and_renders_stable_snapshots() {
     service.query(&examples::triangle()).unwrap();
     service.query(&examples::triangle()).unwrap();
 
-    // StatsSnapshot is a thin view over the registry: every field it reports
-    // must equal the primitive registered under the dotted name
-    let stats = service.stats();
+    // the registry is the only stats view: every primitive carries exactly
+    // what the run did (a solo writer commits each batch in its own group)
     let snap = service.registry().snapshot();
-    assert_eq!(
-        snap.counter_value("wal.batches_committed"),
-        Some(stats.batches_committed)
-    );
-    assert_eq!(
-        snap.counter_value("wal.ops_committed"),
-        Some(stats.ops_committed)
-    );
-    assert_eq!(snap.counter_value("service.admitted"), Some(stats.admitted));
+    assert_eq!(snap.counter_value("wal.batches_committed"), Some(6));
+    assert_eq!(snap.counter_value("wal.ops_committed"), Some(12));
+    assert_eq!(snap.counter_value("wal.group_commits"), Some(6));
     assert_eq!(snap.counter_value("service.admitted"), Some(2));
-    assert_eq!(snap.gauge_value("wal.bytes"), Some(stats.wal_bytes));
-    match snap.get("wal.batches_per_fsync") {
-        Some(wcoj_service::MetricValue::Histogram { counts, count, .. }) => {
-            assert_eq!(&counts[..], &stats.batches_per_fsync[..]);
-            assert_eq!(*count, stats.group_commits);
-        }
-        other => panic!("wal.batches_per_fsync missing or wrong kind: {other:?}"),
-    }
-    // one fsync-latency observation per coalesced group
-    match snap.get("wal.fsync_us") {
-        Some(wcoj_service::MetricValue::Histogram { count, .. }) => {
-            assert_eq!(*count, stats.group_commits);
-        }
-        other => panic!("wal.fsync_us missing or wrong kind: {other:?}"),
-    }
+    assert!(snap.gauge_value("wal.bytes").is_some_and(|b| b > 0));
+    assert_eq!(snap.counter_value("wal.checkpoint_failures"), Some(0));
+    assert_eq!(snap.gauge_value("wal.checkpoint_failing"), Some(0));
+    assert_eq!(
+        histogram(&service, "wal.batches_per_fsync"),
+        (vec![6, 0, 0, 0, 0, 0], 6)
+    );
+    // one fsync-latency observation per group
+    assert_eq!(histogram(&service, "wal.fsync_us").1, 6);
     // one query-latency observation per admitted query
-    match snap.get("service.query_us") {
-        Some(wcoj_service::MetricValue::Histogram { count, .. }) => {
-            assert_eq!(*count, stats.admitted);
-        }
-        other => panic!("service.query_us missing or wrong kind: {other:?}"),
-    }
+    assert_eq!(histogram(&service, "service.query_us").1, 2);
     // the database's access cache registers its own primitives
     assert!(snap.counter_value("cache.hits").is_some());
     assert!(snap.gauge_value("cache.resident_bytes").is_some());
@@ -750,7 +793,7 @@ fn registry_mirrors_stats_and_renders_stable_snapshots() {
         json.get("wal.batches_committed")
             .and_then(|m| m.get("value"))
             .and_then(wcoj_obs::Json::as_u64),
-        Some(stats.batches_committed)
+        Some(6)
     );
     // the Prometheus exposition carries the histogram expansion
     let prom = service.metrics_prometheus();
@@ -798,12 +841,8 @@ fn slow_query_log_captures_traces_without_perturbing_results() {
     );
     lenient.query(&q).unwrap();
     assert!(lenient.slow_queries().is_empty());
-    let snap = lenient.registry().snapshot();
-    assert_eq!(snap.counter_value("service.slow_queries"), Some(0));
-    match snap.get("service.query_us") {
-        Some(wcoj_service::MetricValue::Histogram { count, .. }) => assert_eq!(*count, 1),
-        other => panic!("service.query_us missing: {other:?}"),
-    }
+    assert_eq!(metric(&lenient, "service.slow_queries"), 0);
+    assert_eq!(histogram(&lenient, "service.query_us").1, 1);
 }
 
 #[test]
@@ -818,7 +857,10 @@ fn recovery_metrics_report_checkpoint_vs_tail_breakdown() {
         let batch = WriteBatch::new().insert("E", vec![i, i + 1]);
         service.apply(&batch).unwrap();
     }
-    assert!(service.stats().checkpoints > 0, "tiny segments checkpoint");
+    assert!(
+        metric(&service, "wal.checkpoints") > 0,
+        "tiny segments checkpoint"
+    );
     drop(service);
 
     let (recovered, report) = QueryService::open(&path, edge_db(), config).unwrap();

@@ -44,8 +44,9 @@
 //!   appeared since the cached build;
 //! * [`wal`] — write-ahead logging for the ingest path: every delta mutation
 //!   appends a length-prefixed, CRC32-checksummed [`wal::WalOp`] record to a
-//!   per-database log with batch commit markers; [`wal::recover`] replays the
-//!   committed-batch prefix and truncates any torn tail, and a deterministic
+//!   per-database log with batch commit markers;
+//!   [`wal::segmented::recover_dir`] replays the committed-batch prefix and
+//!   truncates any torn tail, and a deterministic
 //!   [`wal::FaultPlan`] (env `WCOJ_FAULT`) injects fsync failures and torn
 //!   writes for crash testing;
 //! * [`typed`] / [`dictionary`] — the typed-value layer over the `u64` columns:
@@ -119,7 +120,7 @@ pub use wal::segmented::{
     gc_checkpoint, recover_dir, segment_bytes_from_env, write_checkpoint, Checkpoint, DirRecovery,
     GcReport, SegmentedWal, DEFAULT_SEGMENT_BYTES,
 };
-pub use wal::{FaultPlan, WalOp, WalReplay, WalWriter};
+pub use wal::{FaultPlan, WalOp, WalReplay};
 
 /// A dictionary-encoded attribute value.
 ///

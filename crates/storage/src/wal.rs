@@ -14,13 +14,18 @@
 //! batch    := record*  commit-record(seq)
 //! ```
 //!
-//! * **Torn tails are expected, not fatal.** [`replay`] scans records until the
-//!   first incomplete, over-long, checksum-failing, or undecodable record and
-//!   returns exactly the batches whose commit marker was fully durable before
-//!   that point — any byte prefix of a valid log recovers the committed-batch
-//!   prefix and never a partial batch (property-tested in
-//!   `tests/wal_recovery.rs`). [`recover`] additionally truncates the file to
-//!   the last committed byte so a writer can reopen it for appending.
+//! * **One write per batch.** The writer frames a batch's ops and its commit
+//!   marker into one buffer and appends it with a single write; a group of
+//!   batches shares one fsync. The log lives in a directory of rotated
+//!   segments ([`segmented`]).
+//! * **Torn tails are expected, not fatal.** [`replay_bytes`] scans records
+//!   until the first incomplete, over-long, checksum-failing, or undecodable
+//!   record and returns exactly the batches whose commit marker was fully
+//!   durable before that point: any byte prefix of a valid log recovers the
+//!   committed-batch prefix and never a partial batch (property-tested in
+//!   `tests/wal_recovery.rs`). [`segmented::recover_dir`] additionally
+//!   truncates the last segment to its last committed byte so the writer can
+//!   reopen it for appending.
 //! * **Commit sequence numbers are contiguous** (1, 2, 3, …). A gap or
 //!   repetition means the log was spliced rather than torn, and replay stops
 //!   there exactly like a torn tail rather than guessing.
@@ -37,7 +42,7 @@
 use crate::error::StorageError;
 use crate::Value;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
 use std::path::Path;
 
 pub mod segmented;
@@ -222,7 +227,7 @@ impl WalOp {
     }
 
     /// Decode one record payload. The error is a human-readable reason;
-    /// [`replay`] treats any failure as a torn tail.
+    /// [`replay_bytes`] treats any failure as a torn tail.
     pub fn decode(payload: &[u8]) -> Result<WalOp, String> {
         let mut r = PayloadReader {
             bytes: payload,
@@ -325,21 +330,16 @@ impl FaultPlan {
             .and_then(|spec| FaultPlan::parse(&spec).ok())
             .unwrap_or_default()
     }
-
-    /// Whether any fault is armed.
-    pub fn is_armed(&self) -> bool {
-        *self != FaultPlan::default()
-    }
 }
 
-/// Appends length-prefixed, checksummed [`WalOp`] records to a log file.
-/// Records are written immediately (so a crash leaves a realistic partial
-/// batch on disk); [`WalWriter::commit`] appends the batch's commit marker and
-/// fsyncs. After any I/O failure — real or injected — the writer is poisoned:
-/// the durable tail is unknown, so every later call fails until the log is
-/// [`recover`]ed and reopened.
+/// Appends framed [`WalOp`] batches to one log file (for the service, the
+/// newest segment of a [`segmented::SegmentedWal`]). Each batch is one write:
+/// every op frame plus its commit marker. [`WalWriter::sync`] is the
+/// durability barrier. After any I/O failure, real or injected, the writer is
+/// poisoned: the durable tail is unknown, so every later call fails until the
+/// log is recovered ([`segmented::recover_dir`]) and reopened.
 #[derive(Debug)]
-pub struct WalWriter {
+pub(crate) struct WalWriter {
     file: File,
     /// Bytes successfully handed to the OS so far (the torn-fault ruler).
     offset: u64,
@@ -347,49 +347,15 @@ pub struct WalWriter {
     fsyncs: u64,
     /// Committed batches so far; the next commit marker carries `committed + 1`.
     committed: u64,
-    /// Ops logged since the last commit marker.
-    pending_ops: u64,
     fault: FaultPlan,
     poisoned: bool,
 }
 
 impl WalWriter {
-    /// Create (truncating) a fresh log at `path`, with faults from
-    /// [`FaultPlan::from_env`].
-    pub fn create(path: impl AsRef<Path>) -> Result<WalWriter, StorageError> {
-        Self::create_with_fault(path, FaultPlan::from_env())
-    }
-
-    /// [`WalWriter::create`] with an explicit fault plan (tests).
-    pub fn create_with_fault(
-        path: impl AsRef<Path>,
-        fault: FaultPlan,
-    ) -> Result<WalWriter, StorageError> {
-        let file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(path)?;
-        Ok(WalWriter {
-            file,
-            offset: 0,
-            fsyncs: 0,
-            committed: 0,
-            pending_ops: 0,
-            fault,
-            poisoned: false,
-        })
-    }
-
-    /// Reopen a log for appending after [`recover`] truncated it: positions at
-    /// the end and resumes the commit sequence from `committed` (the number of
-    /// batches recovery replayed). Faults come from [`FaultPlan::from_env`].
-    pub fn append_to(path: impl AsRef<Path>, committed: u64) -> Result<WalWriter, StorageError> {
-        Self::append_to_with_fault(path, committed, FaultPlan::from_env())
-    }
-
-    /// [`WalWriter::append_to`] with an explicit fault plan (tests).
-    pub fn append_to_with_fault(
+    /// Open `path` for appending (creating it if missing): positions at the
+    /// end and resumes the commit sequence from `committed`, the last batch
+    /// sequence recovery found. `fault` rulers count from this file's start.
+    pub(crate) fn append_to(
         path: impl AsRef<Path>,
         committed: u64,
         fault: FaultPlan,
@@ -405,40 +371,29 @@ impl WalWriter {
             offset,
             fsyncs: 0,
             committed,
-            pending_ops: 0,
             fault,
             poisoned: false,
         })
     }
 
     /// Bytes handed to the OS so far.
-    pub fn offset(&self) -> u64 {
+    pub(crate) fn offset(&self) -> u64 {
         self.offset
     }
 
     /// Batches committed through this writer (plus whatever it resumed from).
-    pub fn committed(&self) -> u64 {
+    pub(crate) fn committed(&self) -> u64 {
         self.committed
     }
 
-    /// Ops logged since the last commit marker.
-    pub fn pending_ops(&self) -> u64 {
-        self.pending_ops
-    }
-
     /// Fsyncs attempted through this writer (the fsync-fault ruler).
-    pub fn fsyncs(&self) -> u64 {
+    pub(crate) fn fsyncs(&self) -> u64 {
         self.fsyncs
     }
 
     /// Whether a prior failure poisoned the writer.
-    pub fn is_poisoned(&self) -> bool {
+    pub(crate) fn is_poisoned(&self) -> bool {
         self.poisoned
-    }
-
-    /// Replace the fault plan (tests re-arm between scenarios).
-    pub fn set_fault(&mut self, fault: FaultPlan) {
-        self.fault = fault;
     }
 
     fn check_poisoned(&self) -> Result<(), StorageError> {
@@ -492,75 +447,15 @@ impl WalWriter {
         Ok(())
     }
 
-    fn write_record(&mut self, op: &WalOp) -> Result<(), StorageError> {
-        let mut framed = Vec::with_capacity(64);
-        frame_into(&mut framed, op);
-        self.write_all(&framed)
-    }
-
-    /// Append one op record (unsynced — durability comes from the batch's
-    /// [`WalWriter::commit`]). Logging a [`WalOp::Commit`] directly is a
-    /// contract violation and is rejected.
-    pub fn log(&mut self, op: &WalOp) -> Result<(), StorageError> {
+    /// Append a whole batch (every op frame plus its commit marker) with a
+    /// **single buffered write**, unsynced. A group-commit leader appends one
+    /// batch per member, then makes the group durable with one
+    /// [`WalWriter::sync`]. The returned sequence number is provisional until
+    /// that sync succeeds; a sync failure poisons the writer, so unacknowledged
+    /// markers are never followed by later appends. An empty batch writes
+    /// nothing and returns the current committed count.
+    pub(crate) fn commit_batch_unsynced(&mut self, ops: &[WalOp]) -> Result<u64, StorageError> {
         self.check_poisoned()?;
-        if matches!(op, WalOp::Commit { .. }) {
-            return Err(StorageError::Io(
-                "commit markers are written by WalWriter::commit, not log()".into(),
-            ));
-        }
-        self.write_record(op)?;
-        self.pending_ops += 1;
-        Ok(())
-    }
-
-    /// Commit the batch: append the commit marker and fsync. Returns the
-    /// batch's sequence number. Committing with no pending ops is a no-op
-    /// (no marker written) and returns the current committed count.
-    pub fn commit(&mut self) -> Result<u64, StorageError> {
-        self.check_poisoned()?;
-        if self.pending_ops == 0 {
-            return Ok(self.committed);
-        }
-        let seq = self.commit_unsynced()?;
-        self.sync()?;
-        Ok(seq)
-    }
-
-    /// Append the batch's commit marker **without** fsyncing — the group-commit
-    /// half-step: a leader writes one marker per coalesced batch, then makes
-    /// the whole group durable with a single [`WalWriter::sync`]. The returned
-    /// sequence number is provisional until that sync succeeds; a sync failure
-    /// poisons the writer, so the unacknowledged markers can never be followed
-    /// by later appends. Committing with no pending ops is a no-op (no marker
-    /// written) and returns the current committed count.
-    pub fn commit_unsynced(&mut self) -> Result<u64, StorageError> {
-        self.check_poisoned()?;
-        if self.pending_ops == 0 {
-            return Ok(self.committed);
-        }
-        let seq = self.committed + 1;
-        self.write_record(&WalOp::Commit { seq })?;
-        self.committed = seq;
-        self.pending_ops = 0;
-        Ok(seq)
-    }
-
-    /// Append a whole batch — every op frame plus its commit marker — with a
-    /// **single buffered write**, unsynced. The hot half of the group-commit
-    /// write path: per-op [`WalWriter::log`] costs one `write(2)` per record,
-    /// which dominates the leader's serial CPU once the fsync is amortized
-    /// across the group; this folds an entire batch into one syscall. The
-    /// frame format is byte-identical to `log` + [`WalWriter::commit_unsynced`],
-    /// so replay and the byte-ruler fault filters see the same stream. Only
-    /// legal with no pending ops (mixing the two styles mid-batch would
-    /// interleave markers); an empty batch is a no-op like `commit_unsynced`.
-    pub fn commit_batch_unsynced(&mut self, ops: &[WalOp]) -> Result<u64, StorageError> {
-        self.check_poisoned()?;
-        if self.pending_ops != 0 {
-            return Err(StorageError::Io(
-                "commit_batch_unsynced with ops pending; close the open batch first".into(),
-            ));
-        }
         if ops.is_empty() {
             return Ok(self.committed);
         }
@@ -580,11 +475,10 @@ impl WalWriter {
         Ok(seq)
     }
 
-    /// Fsync the log file — the durability barrier closing a
-    /// [`WalWriter::commit_unsynced`] group. Honors the `fsync_fail` fault and
-    /// poisons the writer on failure, exactly like the fsync inside
-    /// [`WalWriter::commit`].
-    pub fn sync(&mut self) -> Result<(), StorageError> {
+    /// Fsync the log file: the durability barrier closing a group of
+    /// [`WalWriter::commit_batch_unsynced`] appends. Honors the `fsync_fail`
+    /// fault and poisons the writer on failure.
+    pub(crate) fn sync(&mut self) -> Result<(), StorageError> {
         self.check_poisoned()?;
         self.fsync()
     }
@@ -598,7 +492,7 @@ fn frame_into(buf: &mut Vec<u8>, op: &WalOp) {
     buf.extend_from_slice(&payload);
 }
 
-/// What [`replay`] found in a log file.
+/// What [`replay_bytes`] found in a log image.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WalReplay {
     /// The committed batches, in commit order; each batch's ops in log order.
@@ -617,15 +511,11 @@ impl WalReplay {
     pub fn torn(&self) -> bool {
         self.valid_bytes < self.file_bytes
     }
-
-    /// Total ops across the committed batches (markers excluded).
-    pub fn num_ops(&self) -> usize {
-        self.batches.iter().map(Vec::len).sum()
-    }
 }
 
-/// Scan the committed batches out of a log's bytes (the pure core of
-/// [`replay`], shared with tests that fuzz byte prefixes directly).
+/// Scan the committed batches out of a log's bytes: the pure decoder behind
+/// [`segmented::recover_dir`], also driven directly by the tests that fuzz
+/// byte prefixes.
 pub fn replay_bytes(bytes: &[u8]) -> WalReplay {
     replay_bytes_from(bytes, 1)
 }
@@ -698,36 +588,9 @@ pub fn replay_bytes_from(bytes: &[u8], first_seq: u64) -> WalReplay {
     }
 }
 
-/// Read a log file and return its committed batches, dropping (but not yet
-/// truncating) any torn tail. A missing file replays as empty — creating the
-/// log lazily on first write is fine.
-pub fn replay(path: impl AsRef<Path>) -> Result<WalReplay, StorageError> {
-    let mut bytes = Vec::new();
-    match File::open(path) {
-        Ok(mut f) => {
-            f.read_to_end(&mut bytes)?;
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-        Err(e) => return Err(e.into()),
-    }
-    Ok(replay_bytes(&bytes))
-}
-
-/// [`replay`], then truncate the file to the durable prefix so a
-/// [`WalWriter::append_to`] can resume cleanly. This is the recovery entry the
-/// service layer calls on startup.
-pub fn recover(path: impl AsRef<Path>) -> Result<WalReplay, StorageError> {
-    let replayed = replay(&path)?;
-    if replayed.torn() {
-        let file = OpenOptions::new().write(true).open(&path)?;
-        file.set_len(replayed.valid_bytes)?;
-        file.sync_data()?;
-    }
-    Ok(replayed)
-}
-
 #[cfg(test)]
 mod tests {
+    use super::segmented::{recover_dir, SegmentedWal};
     use super::*;
 
     fn temp_path(tag: &str) -> std::path::PathBuf {
@@ -745,6 +608,19 @@ mod tests {
             relation: rel.into(),
             tuple: t.to_vec(),
         }
+    }
+
+    /// One durable batch: append, then the fsync barrier.
+    fn commit(w: &mut WalWriter, ops: &[WalOp]) -> Result<u64, StorageError> {
+        let seq = w.commit_batch_unsynced(ops)?;
+        w.sync()?;
+        Ok(seq)
+    }
+
+    fn framed_len(op: &WalOp) -> u64 {
+        let mut buf = Vec::new();
+        frame_into(&mut buf, op);
+        buf.len() as u64
     }
 
     #[test]
@@ -783,71 +659,74 @@ mod tests {
     #[test]
     fn write_then_replay_roundtrips_batches() {
         let path = temp_path("roundtrip");
-        let mut w = WalWriter::create_with_fault(&path, FaultPlan::default()).unwrap();
-        w.log(&ins("E", &[1, 2])).unwrap();
-        w.log(&ins("E", &[3, 4])).unwrap();
-        assert_eq!(w.commit().unwrap(), 1);
-        w.log(&WalOp::Seal {
+        let mut w = WalWriter::append_to(&path, 0, FaultPlan::default()).unwrap();
+        assert_eq!(
+            commit(&mut w, &[ins("E", &[1, 2]), ins("E", &[3, 4])]).unwrap(),
+            1
+        );
+        let seal = WalOp::Seal {
             relation: "E".into(),
-        })
-        .unwrap();
-        assert_eq!(w.commit().unwrap(), 2);
-        // empty commit: no marker, sequence unchanged
-        assert_eq!(w.commit().unwrap(), 2);
+        };
+        assert_eq!(commit(&mut w, std::slice::from_ref(&seal)).unwrap(), 2);
+        // empty batch: no marker, sequence unchanged
+        assert_eq!(w.commit_batch_unsynced(&[]).unwrap(), 2);
+        // markers are the writer's to place, never the caller's
+        assert!(w
+            .commit_batch_unsynced(&[WalOp::Commit { seq: 3 }])
+            .is_err());
 
-        let replayed = replay(&path).unwrap();
+        let replayed = replay_bytes(&std::fs::read(&path).unwrap());
         assert_eq!(replayed.batches.len(), 2);
         assert_eq!(
             replayed.batches[0],
             vec![ins("E", &[1, 2]), ins("E", &[3, 4])]
         );
+        assert_eq!(replayed.batches[1], vec![seal]);
         assert!(!replayed.torn());
         assert_eq!(replayed.tail_reason, None);
-        assert_eq!(replayed.num_ops(), 3);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn uncommitted_tail_is_dropped_and_recover_truncates() {
-        let path = temp_path("tail");
-        let mut w = WalWriter::create_with_fault(&path, FaultPlan::default()).unwrap();
-        w.log(&ins("E", &[1, 2])).unwrap();
-        w.commit().unwrap();
-        w.log(&ins("E", &[5, 6])).unwrap(); // never committed
+        // batch 2 tears right after its first op frame: a crash mid-batch
+        // leaves an op on disk without its commit marker
+        let dir = temp_path("tail");
+        let durable = framed_len(&ins("E", &[1, 2])) + framed_len(&WalOp::Commit { seq: 1 });
+        let tear = FaultPlan {
+            torn_write_at: Some(durable + framed_len(&ins("E", &[5, 6]))),
+            ..FaultPlan::default()
+        };
+        let mut w = SegmentedWal::open(&dir, &recover_dir(&dir).unwrap(), 1 << 20, tear).unwrap();
+        w.commit_batch_unsynced(&[ins("E", &[1, 2])]).unwrap();
+        w.sync().unwrap();
+        let err = w
+            .commit_batch_unsynced(&[ins("E", &[5, 6]), ins("E", &[7, 8])])
+            .unwrap_err();
+        assert!(matches!(err, StorageError::FaultInjected(_)), "{err}");
         drop(w);
 
-        let replayed = recover(&path).unwrap();
-        assert_eq!(replayed.batches.len(), 1);
-        assert!(replayed.torn());
-        assert!(replayed.tail_reason.unwrap().contains("uncommitted"));
-
-        // after recovery the file ends exactly on the commit marker and a
-        // writer can resume with a contiguous sequence
-        let mut w = WalWriter::append_to_with_fault(
-            &path,
-            replayed.batches.len() as u64,
-            FaultPlan::default(),
-        )
-        .unwrap();
-        w.log(&ins("E", &[7, 8])).unwrap();
-        assert_eq!(w.commit().unwrap(), 2);
-        let replayed = replay(&path).unwrap();
-        assert_eq!(replayed.batches.len(), 2);
-        assert!(!replayed.torn());
-        std::fs::remove_file(&path).ok();
+        let rec = recover_dir(&dir).unwrap();
+        assert_eq!(rec.committed, 1);
+        assert!(rec.torn);
+        assert!(rec.tail_reason.as_ref().unwrap().contains("uncommitted"));
+        assert_eq!(rec.wal_bytes, durable, "truncated to the commit marker");
+        // the writer resumes with a contiguous sequence
+        let mut w = SegmentedWal::open(&dir, &rec, 1 << 20, FaultPlan::default()).unwrap();
+        assert_eq!(w.commit_batch_unsynced(&[ins("E", &[7, 8])]).unwrap(), 2);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn corrupt_byte_truncates_from_there() {
         let path = temp_path("corrupt");
-        let mut w = WalWriter::create_with_fault(&path, FaultPlan::default()).unwrap();
+        let mut w = WalWriter::append_to(&path, 0, FaultPlan::default()).unwrap();
         for i in 0..4u64 {
-            w.log(&ins("E", &[i, i + 1])).unwrap();
-            w.commit().unwrap();
+            commit(&mut w, &[ins("E", &[i, i + 1])]).unwrap();
         }
-        let clean = replay(&path).unwrap();
-        assert_eq!(clean.batches.len(), 4);
         let mut bytes = std::fs::read(&path).unwrap();
+        let clean = replay_bytes(&bytes);
+        assert_eq!(clean.batches.len(), 4);
         // flip a byte inside batch 3's record
         let target = (clean.valid_bytes / 2) as usize;
         bytes[target] ^= 0xFF;
@@ -866,45 +745,48 @@ mod tests {
     fn injected_fsync_failure_poisons_the_writer() {
         let path = temp_path("fsync-fault");
         let fault = FaultPlan::parse("fsync_fail:2").unwrap();
-        let mut w = WalWriter::create_with_fault(&path, fault).unwrap();
-        w.log(&ins("E", &[1, 2])).unwrap();
-        assert_eq!(w.commit().unwrap(), 1);
-        w.log(&ins("E", &[3, 4])).unwrap();
-        let err = w.commit().unwrap_err();
+        let mut w = WalWriter::append_to(&path, 0, fault).unwrap();
+        assert_eq!(commit(&mut w, &[ins("E", &[1, 2])]).unwrap(), 1);
+        let err = commit(&mut w, &[ins("E", &[3, 4])]).unwrap_err();
         assert!(matches!(err, StorageError::FaultInjected(_)), "{err}");
         assert!(w.is_poisoned());
-        assert!(w.log(&ins("E", &[5, 6])).is_err(), "poisoned writer");
+        assert!(
+            w.commit_batch_unsynced(&[ins("E", &[5, 6])]).is_err(),
+            "poisoned writer"
+        );
+        assert!(w.sync().is_err(), "poisoned writer");
         // batch 2's marker reached the file but its durability was never
         // acknowledged; replay may surface it or not — what recovery must
         // guarantee is that batch 1 survives and nothing partial appears
-        let replayed = replay(&path).unwrap();
+        let replayed = replay_bytes(&std::fs::read(&path).unwrap());
         assert!(!replayed.batches.is_empty());
         assert_eq!(replayed.batches[0], vec![ins("E", &[1, 2])]);
+        assert!(replayed.batches.len() <= 2);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn injected_torn_write_truncates_mid_record() {
         let path = temp_path("torn-fault");
-        let mut w = WalWriter::create_with_fault(&path, FaultPlan::default()).unwrap();
-        w.log(&ins("E", &[1, 2])).unwrap();
-        w.commit().unwrap();
-        let cut = w.offset() + 5; // mid-way through the next record
-        w.set_fault(FaultPlan {
+        let first = [ins("E", &[1, 2])];
+        // the cut lands mid-way through batch 2's first record
+        let cut = framed_len(&first[0]) + framed_len(&WalOp::Commit { seq: 1 }) + 5;
+        let fault = FaultPlan {
             torn_write_at: Some(cut),
             ..FaultPlan::default()
-        });
-        let err = w.log(&ins("E", &[3, 4])).unwrap_err();
+        };
+        let mut w = WalWriter::append_to(&path, 0, fault).unwrap();
+        commit(&mut w, &first).unwrap();
+        let err = w.commit_batch_unsynced(&[ins("E", &[3, 4])]).unwrap_err();
         assert!(matches!(err, StorageError::FaultInjected(_)), "{err}");
         assert!(w.is_poisoned());
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), cut);
-        let replayed = recover(&path).unwrap();
+        assert_eq!(w.offset(), cut);
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes.len() as u64, cut);
+        let replayed = replay_bytes(&bytes);
         assert_eq!(replayed.batches.len(), 1);
         assert!(replayed.torn());
-        assert_eq!(
-            std::fs::metadata(&path).unwrap().len(),
-            replayed.valid_bytes
-        );
+        assert_eq!(replayed.valid_bytes, cut - 5);
         std::fs::remove_file(&path).ok();
     }
 
@@ -916,8 +798,6 @@ mod tests {
         assert_eq!(plan.torn_write_at, Some(128));
         assert_eq!(plan.seal_delay_ms, Some(50));
         assert_eq!(plan.ckpt_torn_at, Some(9));
-        assert!(plan.is_armed());
-        assert!(!FaultPlan::default().is_armed());
         assert!(FaultPlan::parse("fsync_fail").is_err());
         assert!(FaultPlan::parse("fsync_fail:x").is_err());
         assert!(FaultPlan::parse("explode:1").is_err());
@@ -926,24 +806,25 @@ mod tests {
     #[test]
     fn group_of_unsynced_commits_closes_with_one_sync() {
         let path = temp_path("group");
-        let mut w = WalWriter::create_with_fault(&path, FaultPlan::default()).unwrap();
+        let fault = FaultPlan::parse("fsync_fail:2").unwrap();
+        let mut w = WalWriter::append_to(&path, 0, fault).unwrap();
         for i in 0..3u64 {
-            w.log(&ins("E", &[i, i + 1])).unwrap();
-            assert_eq!(w.commit_unsynced().unwrap(), i + 1);
+            assert_eq!(
+                w.commit_batch_unsynced(&[ins("E", &[i, i + 1])]).unwrap(),
+                i + 1
+            );
         }
         w.sync().unwrap();
         assert_eq!(w.fsyncs(), 1, "three batches, one durability barrier");
-        let replayed = replay(&path).unwrap();
+        let replayed = replay_bytes(&std::fs::read(&path).unwrap());
         assert_eq!(replayed.batches.len(), 3);
         assert!(!replayed.torn());
         // a failed group sync poisons the writer: the unacked markers can
         // never be followed by later appends
-        w.log(&ins("E", &[9, 9])).unwrap();
-        w.commit_unsynced().unwrap();
-        w.set_fault(FaultPlan::parse("fsync_fail:2").unwrap());
+        w.commit_batch_unsynced(&[ins("E", &[9, 9])]).unwrap();
         assert!(w.sync().is_err());
         assert!(w.is_poisoned());
-        assert!(w.log(&ins("E", &[10, 10])).is_err());
+        assert!(w.commit_batch_unsynced(&[ins("E", &[10, 10])]).is_err());
         std::fs::remove_file(&path).ok();
     }
 
@@ -951,11 +832,9 @@ mod tests {
     fn replay_from_offset_sequence() {
         let path = temp_path("from-seq");
         // a segment whose first batch is global seq 5
-        let mut w = WalWriter::append_to_with_fault(&path, 4, FaultPlan::default()).unwrap();
-        w.log(&ins("E", &[1, 2])).unwrap();
-        assert_eq!(w.commit().unwrap(), 5);
-        w.log(&ins("E", &[3, 4])).unwrap();
-        assert_eq!(w.commit().unwrap(), 6);
+        let mut w = WalWriter::append_to(&path, 4, FaultPlan::default()).unwrap();
+        assert_eq!(commit(&mut w, &[ins("E", &[1, 2])]).unwrap(), 5);
+        assert_eq!(commit(&mut w, &[ins("E", &[3, 4])]).unwrap(), 6);
         let bytes = std::fs::read(&path).unwrap();
         let replayed = replay_bytes_from(&bytes, 5);
         assert_eq!(replayed.batches.len(), 2);
@@ -965,13 +844,5 @@ mod tests {
         assert!(wrong.batches.is_empty());
         assert!(wrong.tail_reason.unwrap().contains("jumped"));
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn missing_file_replays_empty() {
-        let replayed = replay(temp_path("never-created")).unwrap();
-        assert!(replayed.batches.is_empty());
-        assert_eq!(replayed.file_bytes, 0);
-        assert!(!replayed.torn());
     }
 }

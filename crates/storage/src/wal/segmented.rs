@@ -1,6 +1,6 @@
 //! Segmented write-ahead logs with checkpointing: bounded recovery time.
 //!
-//! A single-file WAL replays its **entire history** at startup, so recovery
+//! An unsegmented WAL replays its **entire history** at startup, so recovery
 //! time grows without bound as the service runs. This module applies the
 //! classical fix (ARIES-style fuzzy checkpoints over a rotated log):
 //!
@@ -8,9 +8,10 @@
 //!   … — each named by the global sequence number of the *first* batch it
 //!   holds. [`SegmentedWal`] appends to the newest segment and rotates to a
 //!   fresh one once the current file crosses a size threshold
-//!   (`WCOJ_WAL_SEGMENT_BYTES`, default 64 MiB), always at a batch boundary:
-//!   records never straddle segments, and every segment's commit markers
-//!   continue the global sequence exactly where its predecessor stopped
+//!   (`WCOJ_WAL_SEGMENT_BYTES`, default 64 MiB). Each batch is one write, so
+//!   rotation always falls on a batch boundary: records never straddle
+//!   segments, and every segment's commit markers continue the global
+//!   sequence exactly where its predecessor stopped
 //!   ([`crate::wal::replay_bytes_from`] verifies this per segment).
 //! * **Checkpoints.** [`write_checkpoint`] persists an opaque per-relation
 //!   state blob (the service serializes each delta relation from an MVCC
@@ -24,16 +25,15 @@
 //!   (a torn or corrupt one — e.g. via the `ckpt_torn` [`FaultPlan`]
 //!   directive — is discarded and recovery falls back to the previous
 //!   checkpoint plus a longer tail), then replays segments in sequence order,
-//!   skipping batches the checkpoint covers, tolerating a torn tail in the
-//!   last segment exactly like the single-file [`crate::wal::recover`], and
-//!   cutting (with the reason surfaced) at any gap the checkpoint does not
-//!   cover.
+//!   skipping batches the checkpoint covers, truncating a torn tail in the
+//!   last segment back to its last commit marker, and cutting (with the
+//!   reason surfaced) at any gap the checkpoint does not cover.
 //!
-//! The crash-ordering discipline mirrors the single-file log: a batch is
-//! acknowledged only after its commit marker is fsynced; a checkpoint's file
-//! *and* directory entry are fsynced before any segment it covers is deleted;
-//! so at every kill point the union of (newest durable checkpoint, surviving
-//! segments) reconstructs exactly the acknowledged prefix.
+//! The crash-ordering discipline: a batch is acknowledged only after its
+//! commit marker is fsynced; a checkpoint's file *and* directory entry are
+//! fsynced before any segment it covers is deleted; so at every kill point
+//! the union of (newest durable checkpoint, surviving segments) reconstructs
+//! exactly the acknowledged prefix.
 
 use super::{replay_bytes_from, FaultPlan, WalOp, WalWriter};
 use crate::error::StorageError;
@@ -315,11 +315,6 @@ impl DirRecovery {
     pub fn checkpoint_seq(&self) -> u64 {
         self.checkpoint.as_ref().map(|c| c.seq).unwrap_or(0)
     }
-
-    /// Ops across the tail batches (what recovery must re-apply).
-    pub fn num_tail_ops(&self) -> usize {
-        self.tail.iter().map(Vec::len).sum()
-    }
 }
 
 /// Recover a segmented log directory: pick the newest valid checkpoint
@@ -365,7 +360,7 @@ pub fn recover_dir(dir: &Path) -> Result<DirRecovery, StorageError> {
     for (i, (start, path)) in segments.iter().enumerate() {
         if *start > reached + 1 {
             // batches reached+1..start-1 exist nowhere: cut here, exactly as
-            // single-file recovery truncates at mid-file corruption
+            // replay stops at mid-segment corruption
             torn = true;
             tail_reason.get_or_insert(format!(
                 "sequence gap: segment {start} follows reconstructible prefix {reached}"
@@ -404,7 +399,7 @@ pub fn recover_dir(dir: &Path) -> Result<DirRecovery, StorageError> {
                 surviving.push((path.clone(), rep.file_bytes));
             } else {
                 // torn tail of the last segment: truncate so appends resume
-                // cleanly, exactly like single-file recovery
+                // cleanly on a commit marker
                 torn = true;
                 tail_reason.get_or_insert(rep.tail_reason.clone().unwrap_or_default());
                 let f = OpenOptions::new().write(true).open(path)?;
@@ -479,7 +474,7 @@ pub fn recover_dir(dir: &Path) -> Result<DirRecovery, StorageError> {
 
 /// Translate the absolute fault rulers into a per-segment [`FaultPlan`]:
 /// fsync counts and byte offsets are global across the log, while each
-/// [`WalWriter`] counts from its own segment's start.
+/// segment's writer counts from its own segment's start.
 fn plan_for_segment(fault: &FaultPlan, fsyncs_done: u64, bytes_done: u64) -> FaultPlan {
     FaultPlan {
         fail_fsync_at: fault
@@ -491,11 +486,12 @@ fn plan_for_segment(fault: &FaultPlan, fsyncs_done: u64, bytes_done: u64) -> Fau
     }
 }
 
-/// The segmented log's writer: a [`WalWriter`] over the newest segment, plus
-/// rotation. All appends go through the same record framing, commit markers,
-/// poisoning, and fault semantics as the single-file writer; rotation happens
-/// only between fully-synced batches, so every segment ends on a commit
-/// marker except (after a crash) the newest.
+/// The segmented log's writer: appends to the newest segment and rotates.
+/// Each batch (its op frames plus commit marker) is one write and a group of
+/// batches shares one [`SegmentedWal::sync`]. After any I/O failure, real or
+/// injected, the writer is poisoned until [`recover_dir`] and a reopen.
+/// Rotation happens only between fully-synced batches, so every segment
+/// ends on a commit marker except (after a crash) the newest.
 #[derive(Debug)]
 pub struct SegmentedWal {
     dir: PathBuf,
@@ -530,7 +526,7 @@ impl SegmentedWal {
             None => segment_path(&dir, recovery.committed + 1),
         };
         let plan = plan_for_segment(&fault, 0, recovery.bytes_before_last);
-        let writer = WalWriter::append_to_with_fault(&seg_path, recovery.committed, plan)?;
+        let writer = WalWriter::append_to(&seg_path, recovery.committed, plan)?;
         sync_dir(&dir)?;
         Ok(SegmentedWal {
             dir,
@@ -543,23 +539,13 @@ impl SegmentedWal {
         })
     }
 
-    /// The log directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Batches committed (global sequence).
     pub fn committed(&self) -> u64 {
         self.writer.committed()
     }
 
-    /// Ops logged since the last commit marker.
-    pub fn pending_ops(&self) -> u64 {
-        self.writer.pending_ops()
-    }
-
     /// Whether a prior failure poisoned the writer (recover + reopen to
-    /// resume, exactly like the single-file log).
+    /// resume).
     pub fn is_poisoned(&self) -> bool {
         self.writer.is_poisoned()
     }
@@ -581,58 +567,30 @@ impl SegmentedWal {
         self.segments_since_checkpoint = 0;
     }
 
-    /// Replace the fault plan (tests re-arm between scenarios). Rulers are
-    /// absolute, like the constructor's.
-    pub fn set_fault(&mut self, fault: FaultPlan) {
-        self.fault = fault;
-        let plan = plan_for_segment(
-            &fault,
-            self.fsyncs_base + self.writer.fsyncs(),
-            self.bytes_completed, // in-segment offset is the writer's own ruler
-        );
-        self.writer.set_fault(plan);
-    }
-
-    /// Append one op record (unsynced); see [`WalWriter::log`].
-    pub fn log(&mut self, op: &WalOp) -> Result<(), StorageError> {
-        self.writer.log(op)
-    }
-
-    /// Append the batch's commit marker without fsyncing; see
-    /// [`WalWriter::commit_unsynced`].
-    pub fn commit_unsynced(&mut self) -> Result<u64, StorageError> {
-        self.writer.commit_unsynced()
-    }
-
-    /// Append a whole batch (ops + commit marker) in a single buffered write,
-    /// unsynced; see [`WalWriter::commit_batch_unsynced`].
+    /// Append a whole batch (its op frames plus commit marker) in a single
+    /// buffered write, unsynced. Returns the batch's sequence number, which
+    /// is provisional until the next [`SegmentedWal::sync`] succeeds. An
+    /// empty batch writes nothing and returns the current committed count;
+    /// a [`WalOp::Commit`] among `ops` is rejected (markers are the writer's).
     pub fn commit_batch_unsynced(&mut self, ops: &[WalOp]) -> Result<u64, StorageError> {
         self.writer.commit_batch_unsynced(ops)
     }
 
-    /// Fsync the current segment — the group durability barrier; see
-    /// [`WalWriter::sync`].
+    /// Fsync the current segment: the durability barrier for every batch
+    /// appended since the last sync. Honors the `fsync_fail` fault; a failure
+    /// poisons the writer.
     pub fn sync(&mut self) -> Result<(), StorageError> {
         self.writer.sync()
     }
 
-    /// Commit the pending batch: marker + fsync (the solo-writer path).
-    pub fn commit(&mut self) -> Result<u64, StorageError> {
-        let seq = self.writer.commit()?;
-        Ok(seq)
-    }
-
     /// Rotate to a fresh segment if the current one has crossed the size
-    /// threshold. Only legal between batches (no pending ops) on a healthy,
-    /// fully-synced writer — the caller invokes this right after a successful
-    /// commit/sync. Returns whether a rotation happened. On failure to create
+    /// threshold. Call it on a healthy writer right after a successful
+    /// [`SegmentedWal::sync`], so the new segment starts on a durable batch
+    /// boundary. Returns whether a rotation happened. On failure to create
     /// the next segment the current writer stays in place (appends continue
     /// into the oversized segment; correctness is unaffected).
     pub fn maybe_rotate(&mut self) -> Result<bool, StorageError> {
-        if self.writer.is_poisoned()
-            || self.writer.pending_ops() != 0
-            || self.writer.offset() < self.segment_bytes
-        {
+        if self.writer.is_poisoned() || self.writer.offset() < self.segment_bytes {
             return Ok(false);
         }
         let committed = self.writer.committed();
@@ -640,7 +598,7 @@ impl SegmentedWal {
         let bytes_done = self.bytes_completed + self.writer.offset();
         let path = segment_path(&self.dir, committed + 1);
         let plan = plan_for_segment(&self.fault, fsyncs_done, bytes_done);
-        let writer = WalWriter::append_to_with_fault(&path, committed, plan)?;
+        let writer = WalWriter::append_to(&path, committed, plan)?;
         sync_dir(&self.dir)?;
         self.writer = writer;
         self.fsyncs_base = fsyncs_done;
@@ -677,10 +635,16 @@ mod tests {
         SegmentedWal::open(dir, &rec, segment_bytes, FaultPlan::default()).unwrap()
     }
 
+    /// One durable batch: append, then the fsync barrier.
+    fn commit(w: &mut SegmentedWal, ops: &[WalOp]) -> Result<u64, StorageError> {
+        let seq = w.commit_batch_unsynced(ops)?;
+        w.sync()?;
+        Ok(seq)
+    }
+
     fn commit_n(w: &mut SegmentedWal, n: u64, base: u64) {
         for i in 0..n {
-            w.log(&ins("E", &[base + i, base + i + 1])).unwrap();
-            w.commit().unwrap();
+            commit(w, &[ins("E", &[base + i, base + i + 1])]).unwrap();
             w.maybe_rotate().unwrap();
         }
     }
@@ -701,8 +665,7 @@ mod tests {
         assert_eq!(rec.tail[11], vec![ins("E", &[11, 12])]);
         // append resumes the global sequence
         let mut w = SegmentedWal::open(&dir, &rec, 64, FaultPlan::default()).unwrap();
-        w.log(&ins("E", &[99, 100])).unwrap();
-        assert_eq!(w.commit().unwrap(), 13);
+        assert_eq!(commit(&mut w, &[ins("E", &[99, 100])]).unwrap(), 13);
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -776,8 +739,7 @@ mod tests {
         assert!(!rec.torn);
         // appends continue at 6
         let mut w = SegmentedWal::open(&dir, &rec, 1 << 20, FaultPlan::default()).unwrap();
-        w.log(&ins("E", &[7, 8])).unwrap();
-        assert_eq!(w.commit().unwrap(), 6);
+        assert_eq!(commit(&mut w, &[ins("E", &[7, 8])]).unwrap(), 6);
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -785,8 +747,7 @@ mod tests {
     fn commit_exactly_at_segment_boundary_rotates_cleanly() {
         let dir = temp_dir("boundary");
         let mut w = open_fresh(&dir, 1 << 20);
-        w.log(&ins("E", &[1, 2])).unwrap();
-        w.commit().unwrap();
+        commit(&mut w, &[ins("E", &[1, 2])]).unwrap();
         // arm the threshold to exactly the current offset: the *next*
         // maybe_rotate must fire, and the batch boundary is preserved
         let exact = w.total_bytes();
@@ -796,8 +757,7 @@ mod tests {
             SegmentedWal::open(&dir, &rec, exact, FaultPlan::default()).unwrap()
         };
         assert!(w2.maybe_rotate().unwrap(), "offset == threshold rotates");
-        w2.log(&ins("E", &[3, 4])).unwrap();
-        assert_eq!(w2.commit().unwrap(), 2);
+        assert_eq!(commit(&mut w2, &[ins("E", &[3, 4])]).unwrap(), 2);
         drop(w2);
         let rec = recover_dir(&dir).unwrap();
         assert_eq!(rec.committed, 2);
@@ -808,11 +768,21 @@ mod tests {
     }
 
     #[test]
-    fn torn_tail_in_last_segment_truncates_like_single_file() {
+    fn torn_tail_in_last_segment_is_truncated() {
         let dir = temp_dir("torn-tail");
         let mut w = open_fresh(&dir, 64);
         commit_n(&mut w, 5, 0);
-        w.log(&ins("E", &[77, 78])).unwrap(); // never committed
+        drop(w);
+        // batch 6 tears after its op frame, before its commit marker
+        let rec = recover_dir(&dir).unwrap();
+        let op = ins("E", &[77, 78]);
+        let tear = FaultPlan {
+            torn_write_at: Some(rec.wal_bytes + 8 + op.encode().len() as u64),
+            ..FaultPlan::default()
+        };
+        let mut w = SegmentedWal::open(&dir, &rec, 64, tear).unwrap();
+        assert!(commit(&mut w, &[op]).is_err());
+        assert!(w.is_poisoned());
         drop(w);
         let rec = recover_dir(&dir).unwrap();
         assert_eq!(rec.committed, 5);
@@ -855,14 +825,14 @@ mod tests {
         // 3rd fsync fails, even though rotation replaces the inner writer
         let fault = FaultPlan::parse("fsync_fail:3").unwrap();
         let mut w = SegmentedWal::open(&dir, &rec, 64, fault).unwrap();
-        w.log(&ins("E", &[1, 2])).unwrap();
-        w.commit().unwrap();
+        commit(&mut w, &[ins("E", &[1, 2])]).unwrap();
         w.maybe_rotate().unwrap();
-        w.log(&ins("E", &[3, 4])).unwrap();
-        w.commit().unwrap();
-        w.maybe_rotate().unwrap();
-        w.log(&ins("E", &[5, 6])).unwrap();
-        let err = w.commit().unwrap_err();
+        commit(&mut w, &[ins("E", &[3, 4])]).unwrap();
+        assert!(
+            w.maybe_rotate().unwrap(),
+            "the failing fsync is in a later segment"
+        );
+        let err = commit(&mut w, &[ins("E", &[5, 6])]).unwrap_err();
         assert!(matches!(err, StorageError::FaultInjected(_)), "{err}");
         assert!(w.is_poisoned());
         // the unacked batch's marker bytes may survive in the OS cache: the
@@ -907,8 +877,7 @@ mod tests {
         assert!(rec.checkpoint.is_none());
         assert!(!rec.torn);
         let mut w = SegmentedWal::open(&dir, &rec, 1 << 20, FaultPlan::default()).unwrap();
-        w.log(&ins("E", &[1, 2])).unwrap();
-        assert_eq!(w.commit().unwrap(), 1);
+        assert_eq!(commit(&mut w, &[ins("E", &[1, 2])]).unwrap(), 1);
         fs::remove_dir_all(&dir).ok();
     }
 }

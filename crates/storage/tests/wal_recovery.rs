@@ -1,11 +1,16 @@
-//! The WAL recovery property, fuzzed: **replaying any byte prefix of a valid
+//! The WAL recovery property, fuzzed: **recovering any byte prefix of a valid
 //! log recovers exactly a committed-batch prefix — never a partial batch,
 //! never a reordered op.** This is the invariant every crash point (real
 //! `kill -9`, injected torn write, failed fsync) reduces to, so it is tested
 //! directly over hundreds of randomized prefixes, bit-flips, and
-//! fault-injected logs.
+//! fault-injected logs, all through the segmented writer and
+//! [`recover_dir`], the path the service runs.
 
-use wcoj_storage::wal::{recover, replay, replay_bytes, FaultPlan, WalOp, WalWriter};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use wcoj_storage::wal::segmented::{recover_dir, DirRecovery, SegmentedWal, DEFAULT_SEGMENT_BYTES};
+use wcoj_storage::wal::{FaultPlan, WalOp};
+use wcoj_storage::StorageError;
 
 /// SplitMix64 (Steele et al. 2014) — local copy so the storage crate's tests
 /// stay dependency-free.
@@ -25,25 +30,51 @@ impl SplitMix64 {
     }
 }
 
-fn temp_path(tag: &str) -> std::path::PathBuf {
+/// A fresh, empty log directory path, unique within the process.
+fn temp_dir(tag: &str) -> PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
     let mut p = std::env::temp_dir();
-    p.push(format!("wcoj-walrec-{tag}-{}", std::process::id()));
-    std::fs::remove_file(&p).ok();
+    p.push(format!(
+        "wcoj-walrec-{tag}-{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::remove_dir_all(&p).ok();
     p
 }
 
-/// Write a valid log of `batches` variable-size batches and return its bytes
-/// plus the oracle batch list.
+/// Open a writer on `dir` after recovering it.
+fn open(dir: &Path, segment_bytes: u64, fault: FaultPlan) -> SegmentedWal {
+    let rec = recover_dir(dir).unwrap();
+    SegmentedWal::open(dir, &rec, segment_bytes, fault).unwrap()
+}
+
+/// One durable batch: append, then the fsync barrier.
+fn commit(w: &mut SegmentedWal, ops: &[WalOp]) -> Result<u64, StorageError> {
+    let seq = w.commit_batch_unsynced(ops)?;
+    w.sync()?;
+    Ok(seq)
+}
+
+fn insert(rng: &mut SplitMix64) -> WalOp {
+    WalOp::Insert {
+        relation: "E".into(),
+        tuple: vec![rng.below(64), rng.below(64)],
+    }
+}
+
+/// Write a valid single-segment log of `batches` variable-size batches and
+/// return the segment's bytes plus the oracle batch list.
 fn build_log(seed: u64, batches: usize) -> (Vec<u8>, Vec<Vec<WalOp>>) {
-    let path = temp_path(&format!("build-{seed}"));
-    let mut w = WalWriter::create_with_fault(&path, FaultPlan::default()).unwrap();
+    let dir = temp_dir(&format!("build-{seed}"));
+    let mut w = open(&dir, DEFAULT_SEGMENT_BYTES, FaultPlan::default());
     let mut rng = SplitMix64(seed);
     let mut oracle = Vec::with_capacity(batches);
     for _ in 0..batches {
         let n = 1 + rng.below(6) as usize;
         let mut ops = Vec::with_capacity(n);
         for _ in 0..n {
-            let op = match rng.below(4) {
+            ops.push(match rng.below(4) {
                 0 => WalOp::Insert {
                     relation: "E".into(),
                     tuple: vec![rng.below(100), rng.below(100)],
@@ -58,40 +89,53 @@ fn build_log(seed: u64, batches: usize) -> (Vec<u8>, Vec<Vec<WalOp>>) {
                 _ => WalOp::Compact {
                     relation: "E".into(),
                 },
-            };
-            w.log(&op).unwrap();
-            ops.push(op);
+            });
         }
-        w.commit().unwrap();
+        commit(&mut w, &ops).unwrap();
         oracle.push(ops);
     }
     drop(w);
-    let bytes = std::fs::read(&path).unwrap();
-    std::fs::remove_file(&path).ok();
+    let bytes = std::fs::read(segment(&dir)).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
     (bytes, oracle)
 }
 
-/// Assert the core property for one byte image: the recovered batches are a
-/// complete prefix of `oracle`, and re-replaying the durable prefix is a
-/// fixpoint.
-fn assert_committed_prefix(bytes: &[u8], oracle: &[Vec<WalOp>], what: &str) {
-    let replayed = replay_bytes(bytes);
-    let k = replayed.batches.len();
+/// The first segment of a log directory: segments are named by the sequence
+/// of their first batch.
+fn segment(dir: &Path) -> PathBuf {
+    dir.join("wal.000001")
+}
+
+/// Assert the core property for one segment image: recovering a directory
+/// that holds it recovers a complete prefix of `oracle`, and recovering the
+/// truncated directory again is a clean fixpoint.
+fn assert_committed_prefix(bytes: &[u8], oracle: &[Vec<WalOp>], what: &str) -> DirRecovery {
+    let dir = temp_dir("image");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(segment(&dir), bytes).unwrap();
+    let rec = recover_dir(&dir).unwrap();
+    let k = rec.tail.len();
     assert!(k <= oracle.len(), "{what}: more batches than ever written");
     assert_eq!(
-        replayed.batches[..],
+        rec.committed, k as u64,
+        "{what}: sequence and tail disagree"
+    );
+    assert_eq!(
+        rec.tail[..],
         oracle[..k],
         "{what}: recovered batches are not the committed prefix"
     );
     assert!(
-        replayed.valid_bytes <= bytes.len() as u64,
+        rec.wal_bytes <= bytes.len() as u64,
         "{what}: durable prefix exceeds the image"
     );
-    // idempotence: replaying the durable prefix recovers the same batches
-    // cleanly (no torn tail the second time)
-    let again = replay_bytes(&bytes[..replayed.valid_bytes as usize]);
-    assert_eq!(again.batches, replayed.batches, "{what}: not a fixpoint");
-    assert!(!again.torn(), "{what}: durable prefix still torn");
+    // idempotence: recovery truncated the segment to its durable prefix, so
+    // a second recovery finds the same batches and nothing torn
+    let again = recover_dir(&dir).unwrap();
+    assert_eq!(again.tail, rec.tail, "{what}: not a fixpoint");
+    assert!(!again.torn, "{what}: durable prefix still torn");
+    std::fs::remove_dir_all(&dir).ok();
+    rec
 }
 
 #[test]
@@ -105,7 +149,11 @@ fn every_byte_prefix_recovers_exactly_a_committed_batch_prefix() {
         .collect();
     cuts.extend([0, 1, 7, 8, 9, bytes.len() - 1, bytes.len()]);
     for cut in cuts {
-        assert_committed_prefix(&bytes[..cut], &oracle, &format!("prefix {cut}"));
+        let rec = assert_committed_prefix(&bytes[..cut], &oracle, &format!("prefix {cut}"));
+        if cut == bytes.len() {
+            assert_eq!(rec.tail.len(), oracle.len(), "the whole log recovers");
+            assert!(!rec.torn);
+        }
     }
 }
 
@@ -118,18 +166,11 @@ fn random_bit_flips_still_recover_a_committed_prefix() {
         let at = rng.below(bytes.len() as u64) as usize;
         mutated[at] ^= 1 << rng.below(8);
         // a flip can invalidate any record at-or-after `at`; everything
-        // before it must still replay as a committed prefix. (A flipped
+        // before it must still recover as a committed prefix. (A flipped
         // *length* field can make a later commit marker parse as garbage, a
-        // flipped payload fails the CRC — either way replay must stop at a
+        // flipped payload fails the CRC — either way recovery must stop at a
         // batch boundary at or before the flip.)
-        let replayed = replay_bytes(&mutated);
-        let k = replayed.batches.len();
-        assert!(k <= oracle.len());
-        assert_eq!(
-            replayed.batches[..],
-            oracle[..k],
-            "flip #{i} at byte {at}: surviving batches diverge"
-        );
+        assert_committed_prefix(&mutated, &oracle, &format!("flip #{i} at byte {at}"));
     }
 }
 
@@ -137,57 +178,49 @@ fn random_bit_flips_still_recover_a_committed_prefix() {
 fn torn_write_faults_at_random_offsets_recover_like_byte_prefixes() {
     let mut rng = SplitMix64(0x7EA4);
     for round in 0..24 {
-        let path = temp_path(&format!("torn-{round}"));
+        let dir = temp_dir(&format!("torn-{round}"));
         let cut = 16 + rng.below(900);
-        let mut w = WalWriter::create_with_fault(
-            &path,
-            FaultPlan {
-                torn_write_at: Some(cut),
-                ..FaultPlan::default()
-            },
-        )
-        .unwrap();
+        // 256-byte segments: the tear's absolute ruler spans rotations
+        let fault = FaultPlan {
+            torn_write_at: Some(cut),
+            ..FaultPlan::default()
+        };
+        let mut w = open(&dir, 256, fault);
         let mut oracle = Vec::new();
-        'ingest: for _ in 0..40 {
-            let mut ops = Vec::new();
-            for _ in 0..1 + rng.below(4) {
-                let op = WalOp::Insert {
-                    relation: "E".into(),
-                    tuple: vec![rng.below(64), rng.below(64)],
-                };
-                if w.log(&op).is_err() {
-                    break 'ingest; // the injected tear fired mid-record
-                }
-                ops.push(op);
+        for _ in 0..40 {
+            let ops: Vec<WalOp> = (0..1 + rng.below(4)).map(|_| insert(&mut rng)).collect();
+            if commit(&mut w, &ops).is_err() {
+                break; // the injected tear fired inside this batch's write
             }
-            if w.commit().is_err() {
-                break 'ingest; // the tear fired on the commit marker
-            }
+            w.maybe_rotate().unwrap();
             oracle.push(ops);
         }
         assert!(w.is_poisoned(), "round {round}: the tear never fired");
         drop(w);
 
-        let replayed = recover(&path).unwrap();
-        let k = replayed.batches.len();
+        let rec = recover_dir(&dir).unwrap();
+        let k = rec.tail.len();
         assert_eq!(
-            replayed.batches[..],
+            rec.tail[..],
             oracle[..k],
             "round {round}: torn log diverges from its committed prefix"
         );
-        // after recovery the file is the durable prefix and a fresh writer
-        // can resume with a contiguous commit sequence
-        let mut w = WalWriter::append_to_with_fault(&path, k as u64, FaultPlan::default()).unwrap();
-        w.log(&WalOp::Seal {
+        // every batch synced before the tear survives it
+        assert_eq!(k, oracle.len(), "round {round}: a synced batch vanished");
+        assert_eq!(rec.committed, k as u64);
+        // after recovery the log ends on a commit marker and a fresh writer
+        // resumes with a contiguous commit sequence
+        let mut w = SegmentedWal::open(&dir, &rec, 256, FaultPlan::default()).unwrap();
+        let seal = vec![WalOp::Seal {
             relation: "E".into(),
-        })
-        .unwrap();
-        assert_eq!(w.commit().unwrap(), k as u64 + 1);
+        }];
+        assert_eq!(commit(&mut w, &seal).unwrap(), k as u64 + 1);
         drop(w);
-        let clean = replay(&path).unwrap();
-        assert_eq!(clean.batches.len(), k + 1);
-        assert!(!clean.torn());
-        std::fs::remove_file(&path).ok();
+        let clean = recover_dir(&dir).unwrap();
+        assert_eq!(clean.committed, k as u64 + 1);
+        assert_eq!(clean.tail.last(), Some(&seal));
+        assert!(!clean.torn);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
@@ -195,31 +228,25 @@ fn torn_write_faults_at_random_offsets_recover_like_byte_prefixes() {
 fn failed_fsyncs_never_surface_a_partial_batch() {
     let mut rng = SplitMix64(0x5EED);
     for round in 0..12 {
-        let path = temp_path(&format!("fsync-{round}"));
+        let dir = temp_dir(&format!("fsync-{round}"));
         let fail_at = 1 + rng.below(8);
-        let mut w = WalWriter::create_with_fault(
-            &path,
-            FaultPlan {
-                fail_fsync_at: Some(fail_at),
-                ..FaultPlan::default()
-            },
-        )
-        .unwrap();
+        let fault = FaultPlan {
+            fail_fsync_at: Some(fail_at),
+            ..FaultPlan::default()
+        };
+        let mut w = open(&dir, 256, fault);
         let mut acked = Vec::new();
+        let mut unacked = None;
         for _ in 0..10 {
-            let op = WalOp::Insert {
-                relation: "E".into(),
-                tuple: vec![rng.below(64), rng.below(64)],
-            };
-            let mut ops = Vec::new();
-            if w.log(&op).is_err() {
-                break;
-            }
-            ops.push(op);
-            match w.commit() {
+            let ops = vec![insert(&mut rng)];
+            match commit(&mut w, &ops) {
                 Ok(_) => acked.push(ops),
-                Err(_) => break, // this batch's durability was never acked
+                Err(_) => {
+                    unacked = Some(ops); // its durability was never acked
+                    break;
+                }
             }
+            w.maybe_rotate().unwrap();
         }
         assert!(w.is_poisoned());
         drop(w);
@@ -227,11 +254,14 @@ fn failed_fsyncs_never_surface_a_partial_batch() {
         // every *acknowledged* batch must survive; the unacked one may or may
         // not (its bytes can have reached the disk) — but nothing partial and
         // nothing beyond it
-        let replayed = recover(&path).unwrap();
-        let k = replayed.batches.len();
+        let rec = recover_dir(&dir).unwrap();
+        let k = rec.tail.len();
         assert!(k >= acked.len(), "round {round}: an acked batch vanished");
         assert!(k <= acked.len() + 1, "round {round}: phantom batches");
-        assert_eq!(replayed.batches[..acked.len()], acked[..]);
-        std::fs::remove_file(&path).ok();
+        assert_eq!(rec.tail[..acked.len()], acked[..]);
+        if k > acked.len() {
+            assert_eq!(Some(&rec.tail[k - 1]), unacked.as_ref());
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
